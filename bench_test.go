@@ -371,6 +371,52 @@ func BenchmarkServeChurnIncremental(b *testing.B) { benchServeChurn(b, false) }
 // solving disabled: every commit re-solves the whole instance.
 func BenchmarkServeChurnFullResolve(b *testing.B) { benchServeChurn(b, true) }
 
+// BenchmarkServeChurnCommit is the commit path on the bench's
+// churn_sparse shape (64 components x 16 jobs x 4 sites = 1024 jobs over
+// 256 sites): weight updates only, each dirtying one 16-job component,
+// through a real unbatched serve.Engine with no WAL. ns/op is one commit
+// — apply, incremental solve, share-map and shell carry, publish, gauge
+// refresh — and B/op is what a commit allocates, so anything that walks
+// or rebuilds the whole job set per commit shows up here.
+func BenchmarkServeChurnCommit(b *testing.B) {
+	in := workload.GenerateChurn(workload.ChurnConfig{
+		Sparse:    workload.SparseConfig{Components: 64, JobsPerComponent: 16, SitesPerComponent: 4, Seed: 2019},
+		Mutations: 1,
+		Seed:      2019,
+	}).Inst
+	sc, err := scheduler.New(scheduler.Config{SiteCapacity: in.SiteCapacity})
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := make([]scheduler.JobSpec, len(in.JobName))
+	for j, name := range in.JobName {
+		specs[j] = scheduler.JobSpec{ID: name, Weight: 1, Demand: in.Demand[j], Work: in.Work[j]}
+	}
+	if err := sc.AddJobs(specs); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := serve.New(sc, serve.Config{MaxBatch: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	n := len(in.JobName)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Stride 17 walks every component; the weight alternates between
+		// 2 and 3 per lap so every update changes the job and dirties it.
+		if err := eng.UpdateWeight(ctx, in.JobName[i*17%n], float64(2+(i/n)%2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := sc.Stats()
+	b.ReportMetric(float64(st.LastReused), "reused")
+	b.ReportMetric(float64(st.LastResolved), "resolved")
+}
+
 func BenchmarkMaxFlowBipartite(b *testing.B) {
 	in := benchInstance(200, 20, 1.2)
 	n, m := in.NumJobs(), in.NumSites()

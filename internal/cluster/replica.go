@@ -270,13 +270,17 @@ func (r *Replica) syncOnce(cur wal.Cursor, version uint64) (wal.Cursor, uint64, 
 	}
 }
 
+// publish re-solves and swaps in the next view. The share map is the
+// controller's own immutable map, published by pointer exactly as the
+// serving engine publishes it — a replayed batch that touched one
+// component does not copy every job's row.
 func (r *Replica) publish(version uint64, cur, head wal.Cursor) error {
-	alloc, err := r.sc.Allocation()
+	_, shares, err := r.sc.Resolve()
 	if err != nil {
 		return fmt.Errorf("cluster: replica solve: %w", err)
 	}
 	r.view.Store(&ReplicaView{
-		Shares:    alloc,
+		Shares:    shares,
 		Version:   version,
 		Cursor:    cur,
 		Head:      head,

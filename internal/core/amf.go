@@ -108,17 +108,25 @@ func (sv *Solver) maxNewton() int {
 // split realizing the aggregates; use OptimizeJCT to pick the split that
 // minimizes completion times.
 func (sv *Solver) AMF(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
+	if err := sv.validate(in); err != nil {
 		return nil, err
 	}
 	return sv.fill(in, nil)
+}
+
+// validate is Instance.Validate reported as the solve's first stage.
+func (sv *Solver) validate(in *Instance) error {
+	t0 := time.Now()
+	err := in.Validate()
+	sv.stage(StageValidate, time.Since(t0), false)
+	return err
 }
 
 // EnhancedAMF computes the sharing-incentive-preserving variant: every job
 // is first guaranteed its isolated equal share (EqualShares), and the
 // remaining capacity is filled max-min fairly above those floors.
 func (sv *Solver) EnhancedAMF(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
+	if err := sv.validate(in); err != nil {
 		return nil, err
 	}
 	return sv.fill(in, EqualShares(in))
@@ -144,7 +152,11 @@ func (sv *Solver) fill(in *Instance, floors []float64) (*Allocation, error) {
 // fillDiag is fill with an optional freeze-cascade recorder. It dispatches
 // between the component-decomposed path (partition.go) and the monolithic
 // single-network path; diagnostics always take the monolithic path so that
-// freeze rounds are reported against the global level order.
+// freeze rounds are reported against the global level order. Both paths
+// report the same stages in the same order — partition (when the
+// decomposition ran at all), then solve with one solve.component detail
+// per component — so a one-component instance is as observable as a
+// sparse one.
 func (sv *Solver) fillDiag(in *Instance, floors []float64, diag *Diagnostics) (*Allocation, error) {
 	if diag == nil && !sv.Monolithic {
 		if alloc, done, err := sv.fillDecomposed(in, floors); done {
@@ -166,9 +178,11 @@ func (sv *Solver) fillDiag(in *Instance, floors []float64, diag *Diagnostics) (*
 		return nil, err
 	}
 	wall := time.Since(start)
+	sv.stage(StageSolveComponent, wall, true)
 	if rep.used {
 		sv.stage(StageSolveApprox, rep.d, true)
 	}
+	sv.stage(StageSolve, wall, false)
 	st := SolveStats{
 		Components:       1,
 		LargestComponent: in.NumJobs(),

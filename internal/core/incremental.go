@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/fairness"
 )
 
 // Incremental solving: re-solve only the connected components a mutation
@@ -46,9 +48,19 @@ import (
 //     (all clamped at demand) still hit the cache — the fingerprint, which
 //     embeds the floors, is the precise invalidation test.
 //
-// Share rows handed out by Solve are immutable and shared: the same row
-// backs the result cache, subsequent allocations, and anything the caller
-// published. Callers must treat Allocation.Share as read-only.
+// The unit that flows out of a solve is the ComponentResult: one immutable
+// record per solved component holding its members' share rows and the
+// fairness partial of their aggregates. SolveDelta — the entry the
+// scheduler drives — takes the names that changed and the names that
+// left, and returns just the records that changed plus the fairness
+// reduction over all live components, so a caller that carries its own
+// share map forward does work proportional to the dirty components. Solve
+// is a wrapper that derives the delta from a job-set diff and runs the
+// same kernel.
+//
+// Share rows handed out are immutable and shared: the same row backs the
+// result cache, subsequent allocations, and anything the caller
+// published. Callers must treat them as read-only.
 
 // IncrementalStats describes how the most recent IncrementalSolver.Solve
 // executed, plus cumulative cache accounting across the solver's lifetime.
@@ -106,21 +118,26 @@ type IncrementalSolver struct {
 	comps    map[int]*incComp
 	nextID   int
 	siteComp []int // site -> owning component id, -1 unowned
-	cache    map[uint64][]*compResult
+	cache    map[uint64][]*ComponentResult
 	capBits  uint64
 	prevWSum float64
 	haveWSum bool
 	stats    IncrementalStats
 	keyBuf   []byte
+	zeroRow  []float64 // shared immutable all-zero row (zero-demand jobs)
 }
 
 // incComp is one live connected component carried across solves.
 type incComp struct {
-	id    int
-	key   string   // stable identity: lexicographically smallest member name
-	jobs  []string // member job names, sorted to instance order at use
-	sites []int    // sorted global site indices
-	dirty bool
+	id   int
+	key  string   // stable identity: lexicographically smallest member name
+	jobs []string // member job names, sorted to instance order at use
+	// rows[k] is jobs[k]'s instance row as of generation rowsGen; rows
+	// shift between solves, so orderMembers refreshes them before use.
+	rows    []int
+	rowsGen uint64
+	sites   []int // sorted global site indices
+	dirty   bool
 
 	// mutGen is the generation at which a mutation last dirtied this
 	// component; solveGen/lastSolve record its most recent actual solve.
@@ -129,7 +146,7 @@ type incComp struct {
 	solveGen  uint64
 	lastSolve time.Duration
 
-	result   *compResult
+	result   *ComponentResult
 	pendHash uint64
 	pendKey  []byte
 }
@@ -164,13 +181,56 @@ func (x *IncrementalSolver) VisitComponents(fn func(CompStat)) {
 	}
 }
 
-// compResult is one cached component solution: the fingerprint it was
-// solved under and an immutable full-width share row per member job.
-type compResult struct {
+// ComponentResult is one component's solution: an immutable full-width
+// share row per member job and the fairness partial of the members'
+// aggregates, recorded when the component was solved. Records are shared
+// by pointer between the result cache, successive solves and whatever the
+// caller published; Shares and Fairness must be treated as read-only.
+type ComponentResult struct {
+	// Shares maps each member job to its share row.
+	Shares map[string][]float64
+	// Fairness summarizes the members' aggregate allocations and
+	// weight-normalized aggregates.
+	Fairness fairness.Partial
+
+	// The fingerprint the result was solved under, and the solver's
+	// cache-aging stamp.
 	hash     uint64
 	key      []byte
-	shares   map[string][]float64
 	lastUsed uint64
+}
+
+// Delta names what changed in the instance since the previous solve.
+type Delta struct {
+	// Changed names every job that was added or whose weight, demand or
+	// work changed. Every name must be live in the instance.
+	Changed []string
+	// Removed names every job that left the instance. Names the solver
+	// never saw are ignored; a name may appear in both lists (removed and
+	// re-added under the same name).
+	Removed []string
+	// Row maps a live job name to its row in the instance (negative if
+	// unknown). It is consulted only for changed jobs and the members of
+	// components they touch.
+	Row func(name string) int
+}
+
+// Update is what one SolveDelta changed.
+type Update struct {
+	// Full reports that the solver ran without carried state (first solve,
+	// or site count/capacities changed): Results then holds every live
+	// component and Zero every zero-demand job, whatever the Delta said.
+	Full bool
+	// Results are the records of the components whose rows may differ from
+	// the previous solve — re-solved, or resurrected from the fingerprint
+	// cache — in ascending component-id order.
+	Results []*ComponentResult
+	// Zero names the changed jobs that now demand nothing: they belong to
+	// no component and hold the all-zero row.
+	Zero []string
+	// Fairness reduces the partials of all live components, in ascending
+	// component-id order, plus the zero-demand jobs.
+	Fairness fairness.Partial
 }
 
 // Reset drops all carried state (partition, results, cache); the next
@@ -195,7 +255,9 @@ func (x *IncrementalSolver) cacheAge() uint64 {
 }
 
 // Solve computes the allocation for in, reusing every component result the
-// mutations since the previous Solve cannot have invalidated.
+// mutations since the previous Solve cannot have invalidated. It is a
+// wrapper over SolveDelta: it derives the delta from a diff of the job set
+// against the previous revision and materializes the dense allocation.
 //
 // Contract: in.JobName must hold a unique non-empty name per job — names
 // are how jobs are identified across revisions. dirty must contain the
@@ -209,6 +271,76 @@ func (x *IncrementalSolver) cacheAge() uint64 {
 // solver's cache and with previous/future results: callers must not
 // mutate them.
 func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocation, error) {
+	n := in.NumJobs()
+	if len(in.JobName) != n {
+		return nil, fmt.Errorf("core: incremental solve needs a name per job (%d names, %d jobs)", len(in.JobName), n)
+	}
+	idx := make(map[string]int, n)
+	for i, name := range in.JobName {
+		if name == "" {
+			return nil, fmt.Errorf("core: incremental solve needs non-empty job names (job %d)", i)
+		}
+		if _, dup := idx[name]; dup {
+			return nil, fmt.Errorf("core: incremental solve needs unique job names (%q duplicated)", name)
+		}
+		idx[name] = i
+	}
+	d := Delta{Row: func(name string) int {
+		if i, ok := idx[name]; ok {
+			return i
+		}
+		return -1
+	}}
+	for name := range x.jobs {
+		if _, ok := idx[name]; !ok {
+			d.Removed = append(d.Removed, name)
+		}
+	}
+	for _, name := range in.JobName {
+		if _, known := x.jobs[name]; !known || dirty[name] {
+			d.Changed = append(d.Changed, name)
+		}
+	}
+	if _, err := x.SolveDelta(in, d); err != nil {
+		return nil, err
+	}
+	alloc := &Allocation{Inst: in, Share: make([][]float64, n)}
+	for i, name := range in.JobName {
+		if alloc.Share[i] = x.Row(name); alloc.Share[i] == nil {
+			return nil, fmt.Errorf("core: incremental state lost shares for job %q", name)
+		}
+	}
+	return alloc, nil
+}
+
+// Row returns the job's share row from the most recent solve: its
+// component's immutable row, the shared all-zero row for a zero-demand
+// job, nil for a name the solver does not hold.
+func (x *IncrementalSolver) Row(name string) []float64 {
+	c, ok := x.jobs[name]
+	switch {
+	case !ok:
+		return nil
+	case c == nil:
+		return x.zeroRow
+	case c.result == nil:
+		return nil
+	}
+	return c.result.Shares[name]
+}
+
+// SolveDelta is the solve kernel: it brings the carried partition and
+// results up to date with in, given the names that changed and left since
+// the previous call, and returns the component records that changed. Work
+// is proportional to the components the delta touches plus one pass over
+// the component list; nothing walks the whole job set unless carried state
+// resets (Update.Full) or, under Enhanced AMF, the floors must be
+// recomputed (they depend on the global weight sum).
+//
+// in must satisfy Solve's naming contract; the delta form trusts the
+// caller for it, and for the shape of rows it did not name as changed
+// (they were validated by the solve that last saw them change).
+func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, error) {
 	start := time.Now()
 	n, m := in.NumJobs(), in.NumSites()
 	if len(in.JobName) != n {
@@ -223,11 +355,10 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 	capBits := hashFloats(in.SiteCapacity)
 	fresh := x.jobs == nil || x.m != m || x.capBits != capBits
 	// Validation is itself incremental: a full O(n·m) Instance.Validate
-	// only when carried state resets; afterwards, cheap shape checks here
-	// plus a float scan of just the dirty rows (validateJobData below) —
-	// clean rows were validated by the solve that last saw them change.
-	// (The dirty-row scans run inside the diff loop and are accounted to
-	// the partition stage.)
+	// only when carried state resets; afterwards just the changed rows are
+	// shape-checked and float-scanned (validateJobData below) — clean rows
+	// were validated by the solve that last saw them change. (Those scans
+	// run inside the diff loop and are accounted to the partition stage.)
 	tValidate := time.Now()
 	if fresh {
 		if err := in.Validate(); err != nil {
@@ -240,16 +371,9 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		if in.Work != nil && len(in.Work) != n {
 			return nil, fmt.Errorf("core: %d work rows for %d jobs", len(in.Work), n)
 		}
-		for j, row := range in.Demand {
-			if len(row) != m {
-				return nil, fmt.Errorf("core: job %d has %d demand entries, want %d", j, len(row), m)
-			}
-			if in.Work != nil && len(in.Work[j]) != m {
-				return nil, fmt.Errorf("core: job %d has %d work entries, want %d", j, len(in.Work[j]), m)
-			}
-		}
 	}
 	sv.stage(StageValidate, time.Since(tValidate), false)
+	changed, removed := delta.Changed, delta.Removed
 	if fresh {
 		x.m, x.capBits = m, capBits
 		x.jobs = make(map[string]*incComp, n)
@@ -259,23 +383,15 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 			x.siteComp[s] = -1
 		}
 		if x.cache == nil {
-			x.cache = map[uint64][]*compResult{}
+			x.cache = map[uint64][]*ComponentResult{}
 		}
+		x.zeroRow = make([]float64, m)
 		x.haveWSum = false
+		// Nothing is carried: every job is new, whatever the delta named.
+		changed, removed = in.JobName, nil
 	}
 	x.gen++
 	tPartition := time.Now()
-
-	idx := make(map[string]int, n)
-	for i, name := range in.JobName {
-		if name == "" {
-			return nil, fmt.Errorf("core: incremental solve needs non-empty job names (job %d)", i)
-		}
-		if _, dup := idx[name]; dup {
-			return nil, fmt.Errorf("core: incremental solve needs unique job names (%q duplicated)", name)
-		}
-		idx[name] = i
-	}
 
 	// Enhanced-AMF floors are computed against the FULL instance
 	// (EqualShares depends on the global weight sum) and sliced per
@@ -296,35 +412,39 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		x.prevWSum, x.haveWSum = wsum, true
 	}
 
-	// Diff the job set against the previous revision and close over the
-	// affected components: any that lost a member, contain a mutated
-	// member, or own a site a mutated job now touches (merge).
+	// Locate and validate the changed rows before touching carried state,
+	// so a rejected delta leaves the solver exactly as it was.
+	dirtyIdx := make([]int, len(changed))
+	for k, name := range changed {
+		i := k // fresh: changed is in.JobName itself
+		if !fresh {
+			if i = delta.Row(name); i < 0 || i >= n {
+				return nil, fmt.Errorf("core: changed job %q is not in the instance", name)
+			}
+			if err := validateJobData(in, i, m); err != nil {
+				return nil, err
+			}
+		}
+		dirtyIdx[k] = i
+	}
+
+	// Close over the affected components: any that lost a member, contain
+	// a changed member, or own a site a changed job now touches (merge).
 	affected := map[*incComp]bool{}
-	var dirtyIdx []int
-	for name, c := range x.jobs {
-		if _, ok := idx[name]; !ok {
+	for _, name := range removed {
+		if c, ok := x.jobs[name]; ok {
 			if c != nil {
 				affected[c] = true
 			}
 			delete(x.jobs, name)
 		}
 	}
-	for i, name := range in.JobName {
-		c, known := x.jobs[name]
-		if known && !dirty[name] {
-			continue
-		}
-		if !fresh {
-			if err := validateJobData(in, i); err != nil {
-				return nil, err
-			}
-		}
-		dirtyIdx = append(dirtyIdx, i)
-		if known && c != nil {
+	for k, name := range changed {
+		if c := x.jobs[name]; c != nil {
 			affected[c] = true
 		}
-		for s, d := range in.Demand[i] {
-			if d > 0 {
+		for s, dem := range in.Demand[dirtyIdx[k]] {
+			if dem > 0 {
 				if cid := x.siteComp[s]; cid >= 0 {
 					affected[x.comps[cid]] = true
 				}
@@ -332,7 +452,7 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		}
 	}
 	if len(dirtyIdx) > 0 || len(affected) > 0 {
-		x.repartition(in, idx, affected, dirtyIdx)
+		x.repartition(in, delta.Row, affected, dirtyIdx)
 	}
 
 	// Classify components: carried results splice directly; touched (or
@@ -345,7 +465,9 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 	sort.Ints(ids)
 
 	st := IncrementalStats{Components: len(x.comps)}
-	var toSolve []*incComp
+	// moved collects, in id order, the components whose record changed
+	// this call: cache hits now, solved ones once their result lands.
+	var toSolve, moved []*incComp
 	for _, id := range ids {
 		c := x.comps[id]
 		if nj := len(c.jobs); nj > st.LargestComponent {
@@ -362,11 +484,14 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 			st.Reused++
 			continue
 		}
-		sort.Slice(c.jobs, func(a, b int) bool { return idx[c.jobs[a]] < idx[c.jobs[b]] })
-		key := x.fingerprint(in, idx, c, floors)
+		x.orderMembers(delta.Row, c)
+		key := x.fingerprint(in, c, floors)
 		h := fnv64(key)
 		if r := x.cacheLookup(h, key); r != nil {
 			r.lastUsed = x.gen
+			if r != c.result {
+				moved = append(moved, c)
+			}
 			c.result = r
 			c.dirty = false
 			st.CacheHits++
@@ -379,6 +504,7 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		c.pendHash = h
 		c.pendKey = append([]byte(nil), key...)
 		toSolve = append(toSolve, c)
+		moved = append(moved, c)
 	}
 	st.Solved = len(toSolve)
 	sv.stage(StagePartition, time.Since(tPartition), false)
@@ -412,7 +538,7 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 				}
 				c := toSolve[k]
 				t0 := time.Now()
-				res, rep, err := x.solveComp(sv, in, idx, c, floors)
+				res, rep, err := x.solveComp(sv, in, c, floors)
 				d := time.Since(t0)
 				reps[k] = rep
 				seqNS.Add(int64(d))
@@ -433,10 +559,13 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 				c.dirty = false
 			}
 		}
+		// The calling goroutine is one of the workers: the common commit
+		// solves a single component and should not pay a spawn for it.
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		for w := 1; w < workers; w++ {
 			go worker()
 		}
+		worker()
 		wg.Wait()
 		if firstErr != nil {
 			return nil, firstErr
@@ -463,19 +592,26 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 	sv.stage(StageSolve, time.Since(tSolve), false)
 	tMerge := time.Now()
 
-	alloc := &Allocation{Inst: in, Share: make([][]float64, n)}
-	for i, name := range in.JobName {
-		c := x.jobs[name]
-		if c == nil {
-			alloc.Share[i] = make([]float64, m)
-			continue
-		}
-		row := c.result.shares[name]
-		if row == nil {
-			return nil, fmt.Errorf("core: incremental state lost shares for job %q", name)
-		}
-		alloc.Share[i] = row
+	// Merge: hand out the records that changed, and reduce the fairness
+	// partials over the component list. The reduction is recomputed from
+	// the records every call — never adjusted in place — so it cannot
+	// drift, and its order (ascending id) makes it deterministic.
+	up := &Update{Full: fresh, Results: make([]*ComponentResult, len(moved))}
+	for k, c := range moved {
+		up.Results[k] = c.result
 	}
+	for _, name := range changed {
+		if c, ok := x.jobs[name]; ok && c == nil {
+			up.Zero = append(up.Zero, name)
+		}
+	}
+	members := 0
+	for _, id := range ids {
+		c := x.comps[id]
+		members += len(c.jobs)
+		up.Fairness.Merge(c.result.Fairness)
+	}
+	up.Fairness.ObserveZeros(len(x.jobs) - members)
 
 	x.evict()
 	sv.stage(StageMerge, time.Since(tMerge), false)
@@ -500,22 +636,24 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		ApproxComponents: st.ApproxComponents,
 		ApproxErrorBound: st.ApproxErrorBound,
 	})
-	return alloc, nil
+	return up, nil
 }
 
 // repartition re-runs union-find over just the affected components' jobs
 // plus the mutated/new jobs, dissolving the affected components and
 // forming their replacements. Untouched components keep their membership,
 // sites and results.
-func (x *IncrementalSolver) repartition(in *Instance, idx map[string]int, affected map[*incComp]bool, dirtyIdx []int) {
+func (x *IncrementalSolver) repartition(in *Instance, row func(string) int, affected map[*incComp]bool, dirtyIdx []int) {
 	repart := map[int]bool{}
 	for _, i := range dirtyIdx {
 		repart[i] = true
 	}
 	for c := range affected {
 		for _, name := range c.jobs {
-			if i, ok := idx[name]; ok && x.jobs[name] == c {
-				repart[i] = true
+			// Members that left were already dropped from x.jobs, so only
+			// live names are looked up.
+			if x.jobs[name] == c {
+				repart[row(name)] = true
 			}
 		}
 		for _, s := range c.sites {
@@ -580,12 +718,14 @@ func (x *IncrementalSolver) repartition(in *Instance, idx map[string]int, affect
 		r := find(first)
 		c := byRoot[r]
 		if c == nil {
-			c = &incComp{id: x.nextID, dirty: true}
+			c = &incComp{id: x.nextID, dirty: true, rowsGen: x.gen}
 			x.nextID++
 			byRoot[r] = c
 			x.comps[c.id] = c
 		}
+		// order ascends, so members land in instance order with their rows.
 		c.jobs = append(c.jobs, name)
+		c.rows = append(c.rows, i)
 		x.jobs[name] = c
 		for s, d := range in.Demand[i] {
 			if d > 0 && x.siteComp[s] != c.id {
@@ -609,11 +749,35 @@ func (x *IncrementalSolver) repartition(in *Instance, idx map[string]int, affect
 	}
 }
 
+// orderMembers brings c.rows up to date with the current instance and
+// sorts the members into instance order — the order the fingerprint and
+// the sub-instance are built in, so results are reproducible. Components
+// formed this generation got both from repartition.
+func (x *IncrementalSolver) orderMembers(row func(string) int, c *incComp) {
+	if c.rowsGen == x.gen {
+		return
+	}
+	for k, name := range c.jobs {
+		c.rows[k] = row(name)
+	}
+	sort.Sort(membersByRow{c})
+	c.rowsGen = x.gen
+}
+
+type membersByRow struct{ c *incComp }
+
+func (m membersByRow) Len() int           { return len(m.c.jobs) }
+func (m membersByRow) Less(a, b int) bool { return m.c.rows[a] < m.c.rows[b] }
+func (m membersByRow) Swap(a, b int) {
+	m.c.jobs[a], m.c.jobs[b] = m.c.jobs[b], m.c.jobs[a]
+	m.c.rows[a], m.c.rows[b] = m.c.rows[b], m.c.rows[a]
+}
+
 // solveComp materializes one component as an independent sub-instance,
 // solves it with the component worker path (exact or approximate, per the
 // solver's routing), and scatters the local rows into immutable full-width
 // rows.
-func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]int, c *incComp, floors []float64) (*compResult, approxReport, error) {
+func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, c *incComp, floors []float64) (*ComponentResult, approxReport, error) {
 	nj, ns := len(c.jobs), len(c.sites)
 	sub := &Instance{
 		SiteCapacity: make([]float64, ns),
@@ -629,8 +793,7 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]i
 	if floors != nil {
 		subFloors = make([]float64, nj)
 	}
-	for lj, name := range c.jobs {
-		i := idx[name]
+	for lj, i := range c.rows {
 		row := make([]float64, ns)
 		for ls, s := range c.sites {
 			row[ls] = in.Demand[i][s]
@@ -647,18 +810,25 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]i
 	if err != nil {
 		return nil, rep, err
 	}
-	res := &compResult{
+	res := &ComponentResult{
+		Shares:   make(map[string][]float64, nj),
 		hash:     c.pendHash,
 		key:      c.pendKey,
-		shares:   make(map[string][]float64, nj),
 		lastUsed: x.gen,
 	}
 	for lj, name := range c.jobs {
+		// The aggregate is summed over the compact local row, in ascending
+		// site order — the same value a walk of the full-width row yields,
+		// since every other entry is an exact zero.
 		row := make([]float64, x.m)
+		var agg float64
 		for ls, s := range c.sites {
-			row[s] = a.Share[lj][ls]
+			v := a.Share[lj][ls]
+			row[s] = v
+			agg += v
 		}
-		res.shares[name] = row
+		res.Shares[name] = row
+		res.Fairness.Observe(agg, sub.JobWeight(lj))
 	}
 	return res, rep, nil
 }
@@ -670,7 +840,7 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]i
 // under one epsilon must not be spliced for a solve under another, or for
 // an exact solve. The buffer is reused across calls; callers copy before
 // retaining.
-func (x *IncrementalSolver) fingerprint(in *Instance, idx map[string]int, c *incComp, floors []float64) []byte {
+func (x *IncrementalSolver) fingerprint(in *Instance, c *incComp, floors []float64) []byte {
 	buf := x.keyBuf[:0]
 	edges := 0
 	if floors != nil {
@@ -684,8 +854,8 @@ func (x *IncrementalSolver) fingerprint(in *Instance, idx map[string]int, c *inc
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.SiteCapacity[s]))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(c.jobs)))
-	for _, name := range c.jobs {
-		i := idx[name]
+	for k, name := range c.jobs {
+		i := c.rows[k]
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.JobWeight(i)))
@@ -719,7 +889,7 @@ func (x *IncrementalSolver) fingerprint(in *Instance, idx map[string]int, c *inc
 	return buf
 }
 
-func (x *IncrementalSolver) cacheLookup(h uint64, key []byte) *compResult {
+func (x *IncrementalSolver) cacheLookup(h uint64, key []byte) *ComponentResult {
 	for _, r := range x.cache[h] {
 		if bytes.Equal(r.key, key) {
 			return r
@@ -751,10 +921,15 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// validateJobData float-scans one job's weight, demand and work rows —
-// the per-dirty-job slice of Instance.Validate (lengths are checked
-// centrally in Solve).
-func validateJobData(in *Instance, j int) error {
+// validateJobData shape-checks and float-scans one job's weight, demand
+// and work rows — the per-changed-job slice of Instance.Validate.
+func validateJobData(in *Instance, j, m int) error {
+	if len(in.Demand[j]) != m {
+		return fmt.Errorf("core: job %d has %d demand entries, want %d", j, len(in.Demand[j]), m)
+	}
+	if in.Work != nil && len(in.Work[j]) != m {
+		return fmt.Errorf("core: job %d has %d work entries, want %d", j, len(in.Work[j]), m)
+	}
 	if in.Weight != nil {
 		if w := in.Weight[j]; w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return fmt.Errorf("core: job %d has invalid weight %g", j, w)

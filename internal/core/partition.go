@@ -214,6 +214,9 @@ func (sv *Solver) fillDecomposed(in *Instance, floors []float64) (*Allocation, b
 	tPart := time.Now()
 	jobComp, ncomp := components(in)
 	if ncomp <= 1 {
+		// The union-find ran either way: report it, so the monolithic path
+		// the caller takes next starts from the same stage as this one.
+		sv.stage(StagePartition, time.Since(tPart), false)
 		return nil, false, nil
 	}
 	start := time.Now()

@@ -9,10 +9,15 @@ import "time"
 // Non-detail events partition the solve sequentially (validate, partition,
 // solve, merge — emitted in execution order from the goroutine driving the
 // solve), so their durations sum to the solve wall time up to
-// uninstrumented slack. Detail events report work that ran concurrently
-// inside a stage (one per re-solved component, on the worker pool) and
-// overlap the enclosing "solve" event; consumers must not add them to the
-// sequential timeline.
+// uninstrumented slack. Every entry point emits the subsequence it
+// executes, under the same names: the incremental solver all four;
+// Solver.AMF/EnhancedAMF validate, partition and solve, on the decomposed
+// and the one-component (monolithic) path alike — their merge is folded
+// into the component workers, or absent.
+//
+// Detail events report work that ran concurrently inside a stage (one per
+// solved component, on the worker pool) and overlap the enclosing "solve"
+// event; consumers must not add them to the sequential timeline.
 type StageEvent struct {
 	// Name is the stage: "validate", "partition", "solve", "merge", or
 	// "solve.component" for detail events.

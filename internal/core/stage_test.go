@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -28,12 +29,43 @@ func multiComponentInstance(k int) *Instance {
 }
 
 // TestSolverStageEventsDecomposed: the decomposed solve path reports
-// partition and solve stages in order, plus one detail event per
+// validate, partition and solve stages in order, plus one detail event per
 // component, and the hook sees everything from the caller's goroutine.
 func TestSolverStageEventsDecomposed(t *testing.T) {
-	const k = 4
+	checkSolverStages(t, &Solver{}, 4)
+}
+
+// TestSolverStageEventsOneComponent: a one-component instance takes the
+// monolithic path and must report the same stages under the same names in
+// the same order — partition included, since the union-find ran — with the
+// whole solve as its single component detail.
+func TestSolverStageEventsOneComponent(t *testing.T) {
+	checkSolverStages(t, &Solver{}, 1)
+}
+
+// TestSolverStageEventsMonolithicFlag: with decomposition disabled no
+// partition runs, so none is reported; the rest is unchanged.
+func TestSolverStageEventsMonolithicFlag(t *testing.T) {
+	var order []string
+	sv := &Solver{Monolithic: true, OnStage: func(ev StageEvent) {
+		if !ev.Detail {
+			order = append(order, ev.Name)
+		}
+	}}
+	if _, err := sv.AMF(multiComponentInstance(3)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{StageValidate, StageSolve}; !slices.Equal(order, want) {
+		t.Fatalf("stage order = %v, want %v", order, want)
+	}
+}
+
+// checkSolverStages solves a k-component instance through Solver.AMF and
+// asserts the stage sequence and the per-component details.
+func checkSolverStages(t *testing.T, sv *Solver, k int) {
+	t.Helper()
 	var events []StageEvent
-	sv := &Solver{OnStage: func(ev StageEvent) { events = append(events, ev) }}
+	sv.OnStage = func(ev StageEvent) { events = append(events, ev) }
 	if _, err := sv.AMF(multiComponentInstance(k)); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +87,7 @@ func TestSolverStageEventsDecomposed(t *testing.T) {
 	if details != k {
 		t.Fatalf("got %d solve.component details, want %d", details, k)
 	}
-	want := []string{StagePartition, StageSolve}
+	want := []string{StageValidate, StagePartition, StageSolve}
 	if len(order) != len(want) {
 		t.Fatalf("stage order = %v, want %v", order, want)
 	}

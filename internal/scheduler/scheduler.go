@@ -14,17 +14,25 @@
 // belong to are re-solved, the rest are spliced from carried or cached
 // results — while the rest solve from scratch (DRF brings its own
 // policy-owned component cache). All methods are safe for concurrent use.
+//
+// What a solve hands out is carried, not rebuilt: the instance view is a
+// cached shell patched copy-on-write per mutation, and on the incremental
+// path the share map is the previous map with only the re-solved
+// components' rows replaced (see viewLocked and installDeltaLocked).
 package scheduler
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fairness"
 	"repro/internal/policy"
 )
 
@@ -92,6 +100,9 @@ type Job struct {
 	// intact while the mutable rows above keep changing.
 	instDemand []float64
 	instWork   []float64
+	// row is the job's row in the cached view; meaningful only while the
+	// view is current (viewLocked just returned).
+	row int
 }
 
 // Stats reports controller activity counters. It is the single source of
@@ -158,10 +169,14 @@ type Scheduler struct {
 	orderIdx map[string]int
 	holes    int
 	jobs     map[string]*Job
-	// shares holds the current allocation as immutable rows: each row is
-	// replaced wholesale on re-solve, never written in place, so views
-	// handed to Resolve callers stay valid snapshots.
+	// shares holds the current allocation. The map and its rows are
+	// immutable once installed — a solve installs a NEW map, and nothing
+	// writes the old one again, so the map handed to Resolve callers is a
+	// valid snapshot for as long as they hold it. Between a removal and the
+	// next solve it may still list the removed job; sc.jobs decides
+	// existence. fair is the fairness partial of exactly these rows.
 	shares map[string][]float64
+	fair   fairness.Partial
 	// dirty is the set of job IDs mutated since the incremental solver
 	// last ran; needSolve records whether any mutation happened since the
 	// last solve of any kind. The hierarchical fallback clears needSolve
@@ -171,7 +186,23 @@ type Scheduler struct {
 	dirty     map[string]bool
 	needSolve bool
 	inc       *core.IncrementalSolver
+	// removed lists the jobs dropped since the incremental solver last ran
+	// — with dirty, the delta it is owed. Only kept while one exists.
+	removed []string
+	// incSynced records that shares was installed from the incremental
+	// solver's records and from nothing else since, so the next
+	// incremental solve may carry the map forward and overwrite only what
+	// that solve changed. Any other install (flat, hierarchical, restore)
+	// or a failed solve clears it, and the next install is a full one.
+	incSynced bool
 	capRow    []float64 // immutable capacity row shared by all views
+	// view is the cached instance shell (nil: rebuild on next use). It is
+	// immutable once handed out; mutations since are recorded — stale lists
+	// jobs whose slot must be refreshed, order[viewOrder:] the jobs to
+	// append — and applied copy-on-write by viewLocked.
+	view      *core.Instance
+	viewOrder int
+	stale     []string
 	// externalWeight is the share weight held by jobs on other cluster
 	// shards (core.Instance.ExternalWeight); zero standalone.
 	externalWeight float64
@@ -245,6 +276,7 @@ func (sc *Scheduler) installIncrementalLocked() {
 	} else {
 		sc.inc = nil
 	}
+	sc.removed = nil // a new solver holds no state to remove from
 }
 
 // PolicyName reports the active policy's wire name.
@@ -336,6 +368,20 @@ func (sc *Scheduler) NumSites() int { return len(sc.cfg.SiteCapacity) }
 func (sc *Scheduler) markDirtyLocked(id string) {
 	sc.dirty[id] = true
 	sc.needSolve = true
+}
+
+// markStaleLocked records that a job's slot in the cached view no longer
+// matches the job. With a rebuild already pending there is nothing to
+// patch, and once more patches are queued than the view has slots (nobody
+// has asked for the view in a long while) a rebuild is the cheaper way.
+func (sc *Scheduler) markStaleLocked(id string) {
+	switch {
+	case sc.view == nil:
+	case len(sc.stale) >= len(sc.order):
+		sc.view, sc.stale = nil, sc.stale[:0]
+	default:
+		sc.stale = append(sc.stale, id)
+	}
 }
 
 // JobSpec describes one job registration: the argument form shared by
@@ -488,9 +534,22 @@ func (sc *Scheduler) RemoveJob(id string) error {
 
 func (sc *Scheduler) removeLocked(id string) {
 	delete(sc.jobs, id)
-	delete(sc.shares, id)
 	delete(sc.jobQueue, id)
-	delete(sc.dirty, id) // removal is visible to the job-set diff itself
+	delete(sc.dirty, id) // a removal is its own entry in the solver's delta
+	sc.view = nil        // rows shift: the shell is rebuilt on next use
+	if sc.inc != nil {
+		sc.removed = append(sc.removed, id)
+		// The list is consumed by the next incremental solve. If none
+		// comes (the hierarchical path is active, or nobody reads) it must
+		// not grow with every removal forever: past a couple of job-set
+		// turnovers, dropping the solver's carried state is cheaper than
+		// describing what left it.
+		if len(sc.removed) > 2*len(sc.order)+64 {
+			sc.inc.Reset()
+			sc.removed = nil
+			sc.resetHotLocked()
+		}
+	}
 	if i, ok := sc.orderIdx[id]; ok {
 		sc.order[i] = ""
 		sc.holes++
@@ -556,7 +615,10 @@ func (sc *Scheduler) progressLocked(id string, j *Job, done []float64) (complete
 			continue
 		}
 		j.Remaining[s] -= d
-		j.instWork = nil // published views must see fresh remaining work
+		if j.instWork != nil {
+			j.instWork = nil // published views must see fresh remaining work
+			sc.markStaleLocked(id)
+		}
 		// Exhaustion tolerance is relative to the work's own magnitude: a
 		// job with ~1e12 outstanding work accumulates float residue far
 		// above any absolute epsilon, and an absolute 1e-12 would leave
@@ -601,6 +663,7 @@ func (sc *Scheduler) setWeightLocked(id string, j *Job, weight float64) {
 	}
 	if j.Weight != weight {
 		j.Weight = weight
+		sc.markStaleLocked(id)
 		sc.markDirtyLocked(id)
 	}
 }
@@ -777,13 +840,84 @@ func (sc *Scheduler) Instance() *core.Instance {
 	return sc.viewLocked().Clone()
 }
 
-// viewLocked assembles the current job set as a read-only instance view.
-// The instance shell (slices of rows, names, weights) is fresh per call,
-// but the capacity and per-job demand/work rows are shared immutable
-// snapshots: they are replaced — never written in place — when the
-// underlying job mutates. Solvers only read instances, so views are safe
-// to hand out and cheap to build (no per-row copying).
+// viewLocked returns the current job set as a read-only instance view.
+// The shell (slices of rows, names, weights) is cached and immutable once
+// returned — the serving engine publishes it — so a mutation never writes
+// it: a weight or progress change copies the one slice it touches and
+// replaces the job's slot in the copy, an addition appends (past the
+// length any earlier shell can see), and a removal drops the cache so the
+// shell is rebuilt. The capacity and per-job demand/work rows are shared
+// immutable snapshots, replaced — never written in place — when the
+// underlying job mutates. With nothing changed the same shell is returned.
 func (sc *Scheduler) viewLocked() *core.Instance {
+	switch {
+	case sc.view == nil:
+		sc.view = sc.buildViewLocked()
+	case len(sc.stale) > 0 || sc.viewOrder < len(sc.order) || sc.view.ExternalWeight != sc.externalWeight:
+		sc.view = sc.patchViewLocked()
+	default:
+		return sc.view
+	}
+	sc.viewOrder, sc.stale = len(sc.order), sc.stale[:0]
+	return sc.view
+}
+
+// patchViewLocked derives the next shell from the cached one: appended
+// jobs first (which also gives them their rows), then the stale slots.
+func (sc *Scheduler) patchViewLocked() *core.Instance {
+	next := *sc.view
+	next.ExternalWeight = sc.externalWeight
+	// No removal since the shell was built (it would have dropped it), so
+	// order[viewOrder:] is exactly the jobs added since, none a tombstone.
+	for _, id := range sc.order[sc.viewOrder:] {
+		j := sc.jobs[id]
+		j.instDemand = append([]float64(nil), j.Demand...)
+		j.instWork = append([]float64(nil), j.Remaining...)
+		j.row = len(next.JobName)
+		next.Demand = append(next.Demand, j.instDemand)
+		next.Work = append(next.Work, j.instWork)
+		next.Weight = append(next.Weight, j.Weight)
+		next.JobName = append(next.JobName, id)
+	}
+	var ownWeight, ownDemand, ownWork bool
+	for _, id := range sc.stale {
+		j := sc.jobs[id]
+		if next.Weight[j.row] != j.Weight {
+			if !ownWeight {
+				next.Weight, ownWeight = slices.Clone(next.Weight), true
+			}
+			next.Weight[j.row] = j.Weight
+		}
+		if j.instDemand == nil {
+			if !ownDemand {
+				next.Demand, ownDemand = slices.Clone(next.Demand), true
+			}
+			j.instDemand = append([]float64(nil), j.Demand...)
+			next.Demand[j.row] = j.instDemand
+		}
+		if j.instWork == nil {
+			if !ownWork {
+				next.Work, ownWork = slices.Clone(next.Work), true
+			}
+			j.instWork = append([]float64(nil), j.Remaining...)
+			next.Work[j.row] = j.instWork
+		}
+	}
+	return &next
+}
+
+// rowLocked is core.Delta.Row: a live job's row in the view viewLocked
+// last returned.
+func (sc *Scheduler) rowLocked(id string) int {
+	if j, ok := sc.jobs[id]; ok {
+		return j.row
+	}
+	return -1
+}
+
+// buildViewLocked assembles the shell from scratch in insertion order and
+// records every job's row.
+func (sc *Scheduler) buildViewLocked() *core.Instance {
 	live := len(sc.order) - sc.holes
 	in := &core.Instance{
 		SiteCapacity:   sc.capRow,
@@ -804,6 +938,7 @@ func (sc *Scheduler) viewLocked() *core.Instance {
 		if j.instWork == nil {
 			j.instWork = append([]float64(nil), j.Remaining...)
 		}
+		j.row = len(in.JobName)
 		in.Demand = append(in.Demand, j.instDemand)
 		in.Work = append(in.Work, j.instWork)
 		in.Weight = append(in.Weight, j.Weight)
@@ -818,7 +953,7 @@ func (sc *Scheduler) solveLocked() error {
 		return nil
 	}
 	if len(sc.jobs) == 0 && sc.inc == nil {
-		sc.shares = map[string][]float64{}
+		sc.installSharesLocked(sc.viewLocked(), nil)
 		sc.needSolve = false
 		return nil
 	}
@@ -907,13 +1042,21 @@ func (sc *Scheduler) updateSolveTelemetryLocked(incremental bool, pst policy.Sta
 // solves (hierarchical) leave it intact so the incremental solver sees
 // every change that happened while another path was active.
 func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
-	alloc, err := sc.inc.Solve(in, sc.dirty)
+	changed := make([]string, 0, len(sc.dirty))
+	for id := range sc.dirty {
+		changed = append(changed, id)
+	}
+	up, err := sc.inc.SolveDelta(in, core.Delta{Changed: changed, Removed: sc.removed, Row: sc.rowLocked})
 	if err != nil {
+		// Some components' records may have landed before the failure;
+		// the carried map never saw them, so the next install is full.
+		sc.incSynced = false
 		return fmt.Errorf("scheduler: %w", err)
 	}
 	sc.stats.Solves++
-	sc.installSharesLocked(in, alloc.Share)
+	sc.installDeltaLocked(in, up)
 	clear(sc.dirty)
+	sc.removed = sc.removed[:0]
 	sc.needSolve = false
 	sc.recordHotLocked()
 	return nil
@@ -946,36 +1089,101 @@ func ValidateProgress(done []float64, sites int) error {
 	return validateProgress(done, sites)
 }
 
-// installSharesLocked replaces the share map with the solve's rows. Rows
-// are installed by reference and treated as immutable from here on: the
-// solver allocated them fresh (or, on the incremental path, they are the
-// solver's cached immutable rows), and nothing writes them in place.
+// installSharesLocked replaces the share map with a whole allocation's
+// rows (share[i] belongs to in.JobName[i]) and summarizes their fairness
+// partial — the install of the paths that produce every row at once
+// (flat policies, hierarchical queues). Rows are installed by reference
+// and treated as immutable from here on: the allocator made them fresh.
 func (sc *Scheduler) installSharesLocked(in *core.Instance, share [][]float64) {
 	sc.shares = make(map[string][]float64, len(in.JobName))
 	for i, id := range in.JobName {
 		sc.shares[id] = share[i]
 	}
+	sc.fair = fairness.PartialOf(share, in.JobWeight)
+	sc.incSynced = false
 }
 
-// Resolve re-solves if the job set changed and returns a self-consistent
-// view under one lock acquisition: the instance the shares were computed
-// against (job order = Instance.JobName) and the per-job share vectors.
+// installDeltaLocked installs an incremental solve: the next share map is
+// the previous one with the removed jobs dropped and only the rows of the
+// components this solve changed overwritten, by reference, from the
+// solver's immutable records. The previous map is never written — readers
+// may hold it — so the carry is one clone; when the solve changed nothing
+// the same map stays installed. The fairness partial comes reduced from
+// the solver's per-component records.
+func (sc *Scheduler) installDeltaLocked(in *core.Instance, up *core.Update) {
+	sc.fair = up.Fairness
+	if up.Full || !sc.incSynced {
+		// Nothing to carry: take every row from the solver.
+		sc.shares = make(map[string][]float64, len(in.JobName))
+		for _, id := range in.JobName {
+			sc.shares[id] = sc.inc.Row(id)
+		}
+		sc.incSynced = true
+		return
+	}
+	if len(up.Results) == 0 && len(up.Zero) == 0 && len(sc.removed) == 0 {
+		return
+	}
+	next := maps.Clone(sc.shares)
+	for _, id := range sc.removed {
+		delete(next, id)
+	}
+	for _, r := range up.Results {
+		maps.Copy(next, r.Shares)
+	}
+	for _, id := range up.Zero {
+		next[id] = sc.inc.Row(id)
+	}
+	sc.shares = next
+}
+
+// View is one self-consistent read of the controller, taken under a single
+// lock acquisition after re-solving if needed: the instance, the shares
+// computed against it, and the counters, fairness summary and policy of
+// that same instant. Everything in it is a read-only view (see Resolve).
+type View struct {
+	// Inst is the instance the shares were computed against (job order =
+	// Inst.JobName).
+	Inst *core.Instance
+	// Shares maps every live job to its per-site share row.
+	Shares map[string][]float64
+	// Stats are the activity counters as of this solve.
+	Stats Stats
+	// Fairness summarizes the jobs' aggregate allocations: on the
+	// incremental path reduced from the solver's per-component partials, in
+	// component order; otherwise computed from the rows when installed.
+	Fairness fairness.Partial
+	// Policy is the active policy's wire name.
+	Policy string
+}
+
+// ResolveView re-solves if the job set changed and returns the View.
 //
-// Both are read-only views: the map and instance shell are fresh, but the
-// rows are immutable snapshots shared with the controller and with other
-// Resolve results. Callers (the serving engine publishes them as
-// immutable snapshots) must not mutate them; they remain valid after
-// later mutations because mutations replace rows instead of writing them
-// in place.
-func (sc *Scheduler) Resolve() (*core.Instance, map[string][]float64, error) {
+// Nothing in it is copied: the share map, the instance shell and every row
+// are the controller's own immutable snapshots, shared with other views.
+// Callers (the serving engine publishes them as they are) must not mutate
+// them; they remain valid after later mutations because mutations replace
+// maps, shells and rows instead of writing them in place.
+func (sc *Scheduler) ResolveView() (View, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if err := sc.solveLocked(); err != nil {
-		return nil, nil, err
+		return View{}, err
 	}
-	out := make(map[string][]float64, len(sc.shares))
-	for id, sh := range sc.shares {
-		out[id] = sh
-	}
-	return sc.viewLocked(), out, nil
+	st := sc.stats
+	st.Jobs = len(sc.jobs)
+	return View{
+		Inst:     sc.viewLocked(),
+		Shares:   sc.shares,
+		Stats:    st,
+		Fairness: sc.fair,
+		Policy:   sc.cfg.Policy.Name(),
+	}, nil
+}
+
+// Resolve is ResolveView for callers that want only the instance and the
+// shares; the same read-only contract applies.
+func (sc *Scheduler) Resolve() (*core.Instance, map[string][]float64, error) {
+	v, err := sc.ResolveView()
+	return v.Inst, v.Shares, err
 }

@@ -124,6 +124,15 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 			}
 		}
 	}
+	if sc.inc != nil {
+		// Every job the incremental solver holds leaves with the old set
+		// (restored jobs reusing a name are re-added through dirty).
+		for id := range sc.jobs {
+			sc.removed = append(sc.removed, id)
+		}
+	}
+	sc.incSynced = false
+	sc.view, sc.stale = nil, sc.stale[:0]
 	sc.jobs = make(map[string]*Job, len(snap.Jobs))
 	sc.order = sc.order[:0]
 	sc.orderIdx = make(map[string]int, len(snap.Jobs))

@@ -156,6 +156,11 @@ type AllocSnapshot struct {
 	// HotComponents is the size of the classifier's hot set at commit time
 	// (0 when phase reconciliation is off).
 	HotComponents int
+	// Fairness summarizes the jobs' aggregate allocations (the source of
+	// the fairness.* gauges), read from the controller together with the
+	// shares: reduced from the solver's per-component partials, exact up to
+	// summation order.
+	Fairness fairness.Partial
 }
 
 // Allocation materializes the snapshot as a core.Allocation (rows in
@@ -425,7 +430,7 @@ func New(sc *scheduler.Scheduler, cfg Config) (*Engine, error) {
 			}
 		})
 	}
-	if _, err := e.publish(0); err != nil {
+	if _, _, err := e.publish(0); err != nil {
 		return nil, fmt.Errorf("serve: initial solve: %w", err)
 	}
 	e.updateWALGauges()
@@ -557,7 +562,7 @@ func (e *Engine) commitLoop() {
 // snapshot and seal it.
 func (e *Engine) finalize() {
 	if e.phaseFlush(true) && !e.walFailed.Load() {
-		if _, err := e.publish(0); err != nil {
+		if _, _, err := e.publish(0); err != nil {
 			e.mSolveErrs.Inc()
 		}
 	}
@@ -694,7 +699,7 @@ func (e *Engine) commit(batch []*op) {
 	e.phaseEndBatch()
 	e.solveSpanSum = 0
 	pubStart := time.Now()
-	snap, err := e.publish(applied)
+	snap, st, err := e.publish(applied)
 	if err != nil {
 		// The mutations were applied but the allocation could not be
 		// recomputed; surface the solve failure to every op that had
@@ -708,7 +713,6 @@ func (e *Engine) commit(batch []*op) {
 	} else {
 		e.gJobs.Set(float64(len(snap.Shares)))
 		e.gVersion.Set(float64(snap.Version))
-		st := e.sc.Stats()
 		e.gComps.Set(float64(st.LastComponents))
 		e.gLargest.Set(float64(st.LastLargestComponent))
 		e.gSpeedup.Set(st.LastSpeedup)
@@ -729,12 +733,15 @@ func (e *Engine) commit(batch []*op) {
 		e.gHotComps.Set(float64(hot))
 		e.gApproxComp.Set(float64(st.LastApproxComponents))
 		e.gApproxErr.Set(st.LastApproxErrorBound)
-		e.updateFairnessGauges(snap)
+		e.gJain.Set(snap.Fairness.Jain())
+		mn, mx := snap.Fairness.MinMax()
+		e.gMinShare.Set(mn)
+		e.gMaxShare.Set(mx)
 	}
 	// The solver's stage events streamed into the trace during publish; the
-	// "publish" span covers the remainder — snapshot building and the
-	// post-publish gauge refresh (which walks every job's shares and is a
-	// real cost on large job sets) — keeping the timeline contiguous.
+	// "publish" span covers the remainder — the controller's share-map and
+	// shell carry, snapshot building and the gauge refresh — keeping the
+	// timeline contiguous.
 	pubOver := time.Since(pubStart) - e.solveSpanSum
 	e.stageObserve(stagePublish, pubOver)
 	if tb := e.tb; tb != nil {
@@ -839,42 +846,6 @@ func (e *Engine) stageObserve(name string, d time.Duration) {
 	h.Observe(d)
 }
 
-// updateFairnessGauges recomputes the published allocation's fairness
-// gauges: Jain's index over the jobs' aggregate (cross-site) allocations,
-// and the minimum and maximum weight-normalized aggregate share. O(jobs ×
-// sites touched), once per commit.
-func (e *Engine) updateFairnessGauges(snap *AllocSnapshot) {
-	names := snap.Inst.JobName
-	if len(names) == 0 {
-		e.gJain.Set(1)
-		e.gMinShare.Set(0)
-		e.gMaxShare.Set(0)
-		return
-	}
-	agg := make([]float64, len(names))
-	for i, id := range names {
-		for _, v := range snap.Shares[id] {
-			agg[i] += v
-		}
-	}
-	norm := agg
-	if snap.Inst.Weight != nil {
-		norm = fairness.NormalizedShares(agg, snap.Inst.Weight)
-	}
-	mn, mx := norm[0], norm[0]
-	for _, v := range norm[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	e.gJain.Set(fairness.JainIndex(agg))
-	e.gMinShare.Set(mn)
-	e.gMaxShare.Set(mx)
-}
-
 // logBatch appends the batch's successful mutations as one WAL record and
 // group-fsyncs it. Append/fsync latencies are observed by the wal.Log
 // observer installed in New, which also feeds the in-flight trace.
@@ -934,7 +905,7 @@ func (e *Engine) compactNow() {
 	// callers were told.
 	if e.phaseFlush(true) {
 		e.phaseLagA.Store(0)
-		if _, err := e.publish(0); err != nil {
+		if _, _, err := e.publish(0); err != nil {
 			e.mSolveErrs.Inc()
 			return
 		}
@@ -980,26 +951,30 @@ func (e *Engine) compactTicker() {
 	}
 }
 
-// publish re-solves (if dirty) and swaps in the next snapshot.
-func (e *Engine) publish(batchSize int) (*AllocSnapshot, error) {
+// publish re-solves (if dirty) and swaps in the next snapshot. Everything
+// the snapshot carries comes from ONE read of the controller — shares,
+// shell, counters, fairness summary and policy are of the same instant —
+// and is published as handed over, by pointer: nothing here walks or
+// copies the job set. The counters are returned for the commit's gauges.
+func (e *Engine) publish(batchSize int) (*AllocSnapshot, scheduler.Stats, error) {
 	solveStart := time.Now()
-	inst, shares, err := e.sc.Resolve()
+	v, err := e.sc.ResolveView()
 	if err != nil {
-		return nil, err
+		return nil, scheduler.Stats{}, err
 	}
-	st := e.sc.Stats()
 	prev := e.snap.Load()
 	next := &AllocSnapshot{
 		Version:            1,
-		Policy:             e.sc.PolicyName(),
+		Policy:             v.Policy,
 		Taken:              time.Now(),
-		Shares:             shares,
-		Inst:               inst,
+		Shares:             v.Shares,
+		Inst:               v.Inst,
 		BatchSize:          batchSize,
 		SolveDuration:      time.Since(solveStart),
-		ComponentsReused:   st.LastReused,
-		ComponentsResolved: st.LastResolved,
+		ComponentsReused:   v.Stats.LastReused,
+		ComponentsResolved: v.Stats.LastResolved,
 		PhaseLag:           e.phase.buffered,
+		Fairness:           v.Fairness,
 	}
 	if e.phase.hs != nil {
 		next.HotComponents = len(e.phase.hs.Keys)
@@ -1008,7 +983,7 @@ func (e *Engine) publish(batchSize int) (*AllocSnapshot, error) {
 		next.Version = prev.Version + 1
 	}
 	e.snap.Store(next)
-	return next, nil
+	return next, v.Stats, nil
 }
 
 // Current returns the latest published allocation snapshot. It never
