@@ -15,9 +15,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -118,7 +118,7 @@ func runClusterBench(o clusterOptions) error {
 	if err := ch.Populate(engineTarget{eng: eng}); err != nil {
 		return err
 	}
-	primarySrv := httptest.NewServer(api.NewEngineServer(eng, nil, caps, policy.EnhancedAMF).Handler())
+	primarySrv := httptest.NewServer(api.NewBackendServer(eng, nil, caps, policy.EnhancedAMF).Handler())
 	defer primarySrv.Close()
 	shipSrv := httptest.NewServer(wal.NewShipHandler(log))
 	defer shipSrv.Close()

@@ -308,7 +308,7 @@ func runSingle(logger *slog.Logger, caps []float64, p policy.Policy, state strin
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := api.NewEngineServer(eng, reg, caps, p).SetTraces(traces).SetSlowTraces(slowTraces)
+	srv := api.NewBackendServer(eng, reg, caps, p).SetTraces(traces).SetSlowTraces(slowTraces)
 
 	durability := "none (in-memory)"
 	if cfg.dataDir != "" {

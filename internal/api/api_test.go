@@ -8,11 +8,16 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
+	"repro/internal/serve"
 )
 
-func newTestServer(t *testing.T) (*Client, *scheduler.Scheduler) {
+// newDirectServer builds the API over an engine on a fresh scheduler,
+// without an HTTP listener, for wire-level assertions via httptest
+// recorders. The scheduler is returned so tests can inspect the state
+// behind the API.
+func newDirectServer(t *testing.T) (*scheduler.Scheduler, *Server) {
 	t.Helper()
 	sc, err := scheduler.New(scheduler.Config{
 		SiteCapacity: []float64{1, 1},
@@ -21,7 +26,18 @@ func newTestServer(t *testing.T) (*Client, *scheduler.Scheduler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sc, []float64{1, 1}, policy.AMF)
+	eng, err := serve.New(sc, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	return sc, NewBackendServer(eng, nil, []float64{1, 1}, policy.AMF)
+}
+
+// newTestServer serves newDirectServer over HTTP.
+func newTestServer(t *testing.T) (*Client, *scheduler.Scheduler) {
+	t.Helper()
+	sc, srv := newDirectServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), sc
@@ -134,8 +150,7 @@ func TestErrorMapping(t *testing.T) {
 }
 
 func TestMalformedJSON(t *testing.T) {
-	_, sc := newTestServer(t)
-	srv := NewServer(sc, []float64{1, 1}, policy.AMF)
+	_, srv := newDirectServer(t)
 	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader("{nonsense"))
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
@@ -148,8 +163,7 @@ func TestMalformedJSON(t *testing.T) {
 }
 
 func TestMethodRouting(t *testing.T) {
-	_, sc := newTestServer(t)
-	srv := NewServer(sc, []float64{1, 1}, policy.AMF)
+	_, srv := newDirectServer(t)
 	// GET on POST-only endpoint.
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
 	rec := httptest.NewRecorder()

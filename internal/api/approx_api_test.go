@@ -7,9 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/scheduler"
-	"repro/internal/policy"
 )
 
 func TestApproxConfigRoundTrip(t *testing.T) {
@@ -17,23 +14,25 @@ func TestApproxConfigRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	// Fresh controller: knobs default to disabled (0, 0).
-	got, err := c.ApproxConfig(ctx)
+	got, err := c.Config(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epsilon != 0 || got.Threshold != 0 {
-		t.Fatalf("default knobs %+v, want zero", got)
+	if got.Solver != (SolverConfigSection{}) {
+		t.Fatalf("default knobs %+v, want zero", got.Solver)
 	}
 
-	if err := c.SetApproxConfig(ctx, 0.02, 5000); err != nil {
+	if _, err := c.SetConfig(ctx, ConfigPatchRequest{Solver: &SolverPatchSection{
+		ApproxEpsilon: ptr(0.02), ApproxThreshold: ptr(5000),
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = c.ApproxConfig(ctx)
+	got, err = c.Config(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epsilon != 0.02 || got.Threshold != 5000 {
-		t.Fatalf("knobs after PUT %+v, want {0.02 5000}", got)
+	if got.Solver.ApproxEpsilon != 0.02 || got.Solver.ApproxThreshold != 5000 {
+		t.Fatalf("knobs after PATCH %+v, want {0.02 5000}", got.Solver)
 	}
 	// The scheduler behind the server observed the same values.
 	if eps, th := sc.ApproxConfig(); eps != 0.02 || th != 5000 {
@@ -45,10 +44,14 @@ func TestApproxConfigValidation(t *testing.T) {
 	c, _ := newTestServer(t)
 	ctx := context.Background()
 
-	if err := c.SetApproxConfig(ctx, -0.01, 100); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := c.SetConfig(ctx, ConfigPatchRequest{Solver: &SolverPatchSection{
+		ApproxEpsilon: ptr(-0.01), ApproxThreshold: ptr(100),
+	}}); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("negative epsilon: got %v, want invalid_argument", err)
 	}
-	if err := c.SetApproxConfig(ctx, 0.01, -1); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := c.SetConfig(ctx, ConfigPatchRequest{Solver: &SolverPatchSection{
+		ApproxEpsilon: ptr(0.01), ApproxThreshold: ptr(-1),
+	}}); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("negative threshold: got %v, want invalid_argument", err)
 	}
 }
@@ -57,20 +60,13 @@ func TestApproxConfigValidation(t *testing.T) {
 // Inf cannot ride JSON numbers, so they must surface as a stable
 // invalid_argument decode failure, never a 500 or a silently-zero knob.
 func TestApproxConfigRejectsNonFinite(t *testing.T) {
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity: []float64{1, 1},
-		Policy:       policy.AMF,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(sc, []float64{1, 1}, policy.AMF)
+	sc, srv := newDirectServer(t)
 	for _, body := range []string{
-		`{"epsilon": NaN, "threshold": 10}`,
-		`{"epsilon": Infinity, "threshold": 10}`,
-		`{"epsilon": 1e999, "threshold": 10}`,
+		`{"solver": {"approx_epsilon": NaN, "approx_threshold": 10}}`,
+		`{"solver": {"approx_epsilon": Infinity, "approx_threshold": 10}}`,
+		`{"solver": {"approx_epsilon": 1e999, "approx_threshold": 10}}`,
 	} {
-		req := httptest.NewRequest(http.MethodPut, "/v1/solver/approx", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPatch, "/v1/config", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {

@@ -106,22 +106,6 @@ func (c *Client) SetExternalWeight(ctx context.Context, weight float64) error {
 		ExternalWeightRequest{Weight: weight}, nil)
 }
 
-// SetApproxConfig retunes the solver's approximate water-filling knobs:
-// epsilon is the per-job deviation budget as a fraction of instance scale
-// (0 disables the fast path), threshold the component size above which it
-// engages.
-func (c *Client) SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error {
-	return c.do(ctx, http.MethodPut, "/v1/solver/approx",
-		ApproxConfigRequest{Epsilon: epsilon, Threshold: threshold}, nil)
-}
-
-// ApproxConfig fetches the solver's current approximation knobs.
-func (c *Client) ApproxConfig(ctx context.Context) (ApproxConfigResponse, error) {
-	var out ApproxConfigResponse
-	err := c.do(ctx, http.MethodGet, "/v1/solver/approx", nil, &out)
-	return out, err
-}
-
 // Traces fetches up to limit recent commit traces (0 = the whole ring).
 func (c *Client) Traces(ctx context.Context, limit int) (TracesResponse, error) {
 	var out TracesResponse
@@ -183,23 +167,17 @@ func (c *Client) Policy(ctx context.Context) (PolicyResponse, error) {
 	return out, err
 }
 
-// SetPolicy switches the backend's fairness policy at runtime by wire
-// name (see Policy for the valid names).
-func (c *Client) SetPolicy(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodPut, "/v1/policy", PolicyRequest{Policy: name}, nil)
-}
-
 // Config fetches the runtime-tuning document (site capacities, policy,
-// solver and phase-reconciliation knobs; the Solver/Phase sections are
-// nil against a backend without the unified config surface).
+// solver and phase-reconciliation knobs).
 func (c *Client) Config(ctx context.Context) (ConfigResponse, error) {
 	var out ConfigResponse
 	err := c.do(ctx, http.MethodGet, "/v1/config", nil, &out)
 	return out, err
 }
 
-// SetConfig applies a partial runtime-tuning update (PATCH /v1/config)
-// and returns the resulting document. A rejected patch surfaces as an
+// SetConfig applies a partial runtime-tuning update (PATCH /v1/config) —
+// a policy switch is a patch carrying only Policy — and returns the
+// resulting document. A rejected patch surfaces as an
 // *APIError; decode the response body's "fields" list (ConfigPatchError)
 // for the per-field breakdown via SetConfigDetailed.
 func (c *Client) SetConfig(ctx context.Context, patch ConfigPatchRequest) (ConfigResponse, error) {

@@ -7,9 +7,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 )
 
@@ -39,7 +39,7 @@ func TestReadyzEngineLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Crash() })
-	srv := NewEngineServer(eng, nil, []float64{1, 1}, policy.AMF)
+	srv := NewBackendServer(eng, nil, []float64{1, 1}, policy.AMF)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, ts.Client())
@@ -67,20 +67,12 @@ func TestReadyzEngineLifecycle(t *testing.T) {
 	}
 }
 
-// TestReadyzSchedulerBackend: a bare scheduler has no WAL and no replay —
-// always ready.
-func TestReadyzSchedulerBackend(t *testing.T) {
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity: []float64{1},
-		Policy:       policy.AMF,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(sc, []float64{1}, policy.AMF).Handler())
-	t.Cleanup(ts.Close)
-	if err := NewClient(ts.URL, ts.Client()).Readyz(context.Background()); err != nil {
-		t.Fatalf("bare scheduler not ready: %v", err)
+// TestReadyzWithoutWAL: an engine without a WAL has no replay and no
+// fail-stop — always ready.
+func TestReadyzWithoutWAL(t *testing.T) {
+	c, _ := newTestServer(t)
+	if err := c.Readyz(context.Background()); err != nil {
+		t.Fatalf("WAL-less engine not ready: %v", err)
 	}
 }
 

@@ -1,12 +1,10 @@
 package api
 
-// The unified runtime-tuning surface: GET/PATCH /v1/config.
+// The runtime-tuning surface: GET/PATCH /v1/config.
 //
-// Every runtime knob that used to have a bespoke endpoint — the fairness
-// policy (PUT /v1/policy) and the approximate-solver routing
-// (PUT /v1/solver/approx) — plus the phase-reconciliation knobs
-// introduced alongside it, is readable and patchable through one
-// document:
+// Every runtime knob — the fairness policy, the approximate-solver
+// routing and the phase-reconciliation knobs — is readable and patchable
+// through one document:
 //
 //	{
 //	  "site_capacity": [...],            // immutable, echoed on GET
@@ -23,64 +21,17 @@ package api
 // with a stable per-field code — clients fix all of them in one round
 // trip. A valid patch is applied atomically; on the serving engine it
 // rides an exclusive group commit and is WAL-logged (OpSetConfig), so it
-// survives crash recovery and replicates to followers.
-//
-// The bespoke endpoints remain as thin deprecated aliases: they keep
-// their exact wire shapes, route through the same logged application
-// when the backend supports it, and advertise the successor via
-// `Deprecation: true` and `Link: </v1/config>; rel="successor-version"`
-// response headers.
+// survives crash recovery and replicates to followers. A read replica
+// serves the document and rejects every patch as read-only.
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 
 	"repro/internal/policy"
 	"repro/internal/scheduler"
-	"repro/internal/serve"
 )
-
-// ConfigPatcher is the optional unified runtime-tuning surface behind
-// GET/PATCH /v1/config. RuntimeConfig returns the full tuning document;
-// ApplyConfig applies a validated-in-full, atomically-applied partial
-// update. The read takes a context (and can fail) because the cluster
-// router implements it by fanning out to shards. Backends without the
-// methods serve the legacy read-only config document and reject PATCH
-// with invalid_argument.
-type ConfigPatcher interface {
-	RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error)
-	ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
-}
-
-var _ ConfigPatcher = (*serve.Engine)(nil)
-var _ ConfigPatcher = schedulerBackend{}
-
-// PhaseReporter is the optional phase-reconciliation read surface:
-// PhaseInfo returns the count of acknowledged commutative mutations
-// buffered against hot components and not yet folded into the published
-// allocation (0 = the allocation is exact), plus the classifier's
-// current hot-set size. GET /v1/allocation carries both.
-type PhaseReporter interface {
-	PhaseInfo() (phaseLag, hotComponents int)
-}
-
-var _ PhaseReporter = (*serve.Engine)(nil)
-
-func (b schedulerBackend) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
-	if err := ctx.Err(); err != nil {
-		return scheduler.RuntimeConfig{}, err
-	}
-	return b.sc.RuntimeConfig(), nil
-}
-
-func (b schedulerBackend) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.ApplyConfigPatch(p)
-}
 
 // SolverConfigSection is the solver block of the /v1/config document.
 type SolverConfigSection struct {
@@ -234,36 +185,33 @@ func NewConfigPatchRequest(p scheduler.ConfigPatch) ConfigPatchRequest {
 }
 
 // RuntimeConfig flattens the document's tunable fields into the
-// scheduler-level form (zero values for sections an older server
-// omitted). The cluster router's HTTP shard adapter uses it.
+// scheduler-level form. The cluster router's HTTP shard adapter uses it.
 func (c ConfigResponse) RuntimeConfig() scheduler.RuntimeConfig {
-	rc := scheduler.RuntimeConfig{Policy: c.Policy}
-	if c.Solver != nil {
-		rc.ApproxEpsilon = c.Solver.ApproxEpsilon
-		rc.ApproxThreshold = c.Solver.ApproxThreshold
+	return scheduler.RuntimeConfig{
+		Policy:          c.Policy,
+		ApproxEpsilon:   c.Solver.ApproxEpsilon,
+		ApproxThreshold: c.Solver.ApproxThreshold,
+		Phase:           c.Phase,
 	}
-	if c.Phase != nil {
-		rc.Phase = *c.Phase
-	}
-	return rc
 }
 
-// configDoc assembles the full /v1/config document from the backend's
-// runtime config plus the server's immutable boot config.
-func (s *Server) configDoc(ctx context.Context, cp ConfigPatcher) (ConfigResponse, error) {
-	rc, err := cp.RuntimeConfig(ctx)
+// handleConfig serves the full /v1/config document: the backend's
+// runtime config plus the server's site capacities.
+func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
+	rc, err := s.sc.RuntimeConfig(r.Context())
 	if err != nil {
-		return ConfigResponse{}, err
+		writeError(w, err)
+		return
 	}
-	doc := s.cfg
-	doc.Policy = rc.Policy
-	doc.Solver = &SolverConfigSection{
-		ApproxEpsilon:   rc.ApproxEpsilon,
-		ApproxThreshold: rc.ApproxThreshold,
-	}
-	ph := rc.Phase
-	doc.Phase = &ph
-	return doc, nil
+	writeJSON(w, http.StatusOK, ConfigResponse{
+		SiteCapacity: s.capacity,
+		Policy:       rc.Policy,
+		Solver: SolverConfigSection{
+			ApproxEpsilon:   rc.ApproxEpsilon,
+			ApproxThreshold: rc.ApproxThreshold,
+		},
+		Phase: rc.Phase,
+	})
 }
 
 // handlePatchConfig applies one partial runtime-tuning update. All
@@ -271,12 +219,6 @@ func (s *Server) configDoc(ctx context.Context, cp ConfigPatcher) (ConfigRespons
 // a valid patch is applied atomically and answered with the updated
 // document. An empty patch is a no-op that returns the current document.
 func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
-	cp, ok := s.sc.(ConfigPatcher)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support runtime config patching", Code: CodeInvalidArgument})
-		return
-	}
 	var req ConfigPatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, err)
@@ -291,24 +233,10 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if patch := req.Patch(); !patch.Empty() {
-		if err := cp.ApplyConfig(r.Context(), patch); err != nil {
+		if err := s.sc.ApplyConfig(r.Context(), patch); err != nil {
 			writeError(w, err)
 			return
 		}
 	}
-	doc, err := s.configDoc(r.Context(), cp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// setDeprecatedAlias marks a response as coming from a deprecated alias
-// of PATCH /v1/config (RFC 8594-style sunset signalling). The aliases
-// keep their exact wire shapes; callers should migrate to the successor
-// the Link header names.
-func setDeprecatedAlias(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/config>; rel="successor-version"`)
+	s.handleConfig(w, r)
 }

@@ -8,9 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/policy"
-	"repro/internal/scheduler"
 )
 
 func ptr[T any](v T) *T { return &v }
@@ -41,10 +38,10 @@ func TestConfigPatchRoundTrip(t *testing.T) {
 	if doc.Policy != "amf-enhanced" {
 		t.Fatalf("patched policy %q, want amf-enhanced", doc.Policy)
 	}
-	if doc.Solver == nil || doc.Solver.ApproxEpsilon != 0.02 || doc.Solver.ApproxThreshold != 5000 {
+	if doc.Solver.ApproxEpsilon != 0.02 || doc.Solver.ApproxThreshold != 5000 {
 		t.Fatalf("patched solver section %+v", doc.Solver)
 	}
-	if doc.Phase == nil || doc.Phase.HotThreshold != 0.4 || doc.Phase.MaxBatches != 16 ||
+	if doc.Phase.HotThreshold != 0.4 || doc.Phase.MaxBatches != 16 ||
 		doc.Phase.MaxIntervalMS != 25 || doc.Phase.Window != 64 {
 		t.Fatalf("patched phase section %+v", doc.Phase)
 	}
@@ -179,7 +176,7 @@ func TestConfigPatchEngineBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Phase == nil || doc.Phase.HotThreshold != 0.5 || doc.Phase.Window != 16 {
+	if doc.Phase.HotThreshold != 0.5 || doc.Phase.Window != 16 {
 		t.Fatalf("engine-backed patch response %+v", doc.Phase)
 	}
 	rc, err := eng.RuntimeConfig(ctx)
@@ -239,93 +236,6 @@ func TestAllocationCarriesPhaseLag(t *testing.T) {
 		t.Fatalf("phase_lag after snapshot barrier = %d, want 0", alloc.PhaseLag)
 	}
 	_ = eng
-}
-
-// TestDeprecatedAliasHeaders checks that the bespoke tuning endpoints
-// advertise their successor while keeping their exact wire shapes.
-func TestDeprecatedAliasHeaders(t *testing.T) {
-	_, srv := newDirectServer(t)
-	ts := srv.Handler()
-	cases := []struct {
-		method, path, body string
-	}{
-		{http.MethodPut, "/v1/policy", `{"policy": "amf"}`},
-		{http.MethodPut, "/v1/solver/approx", `{"epsilon": 0.01, "threshold": 100}`},
-		{http.MethodGet, "/v1/solver/approx", ""},
-	}
-	for _, tc := range cases {
-		var rd *strings.Reader
-		if tc.body != "" {
-			rd = strings.NewReader(tc.body)
-		} else {
-			rd = strings.NewReader("")
-		}
-		req := httptest.NewRequest(tc.method, tc.path, rd)
-		rec := httptest.NewRecorder()
-		ts.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d body %s", tc.method, tc.path, rec.Code, rec.Body.String())
-		}
-		if got := rec.Header().Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s: Deprecation header %q, want \"true\"", tc.method, tc.path, got)
-		}
-		if got := rec.Header().Get("Link"); !strings.Contains(got, "/v1/config") ||
-			!strings.Contains(got, `rel="successor-version"`) {
-			t.Errorf("%s %s: Link header %q lacks successor-version pointer", tc.method, tc.path, got)
-		}
-	}
-	// The unified endpoint itself is not deprecated.
-	req := httptest.NewRequest(http.MethodGet, "/v1/config", nil)
-	rec := httptest.NewRecorder()
-	ts.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || rec.Header().Get("Deprecation") != "" {
-		t.Fatalf("GET /v1/config: status %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
-	}
-}
-
-// TestDeprecatedAliasesShareTheUnifiedPath checks a change made through
-// an alias is visible through /v1/config and vice versa.
-func TestDeprecatedAliasesShareTheUnifiedPath(t *testing.T) {
-	c, _ := newTestServer(t)
-	ctx := context.Background()
-
-	if err := c.SetApproxConfig(ctx, 0.03, 700); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := c.Config(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Solver == nil || doc.Solver.ApproxEpsilon != 0.03 || doc.Solver.ApproxThreshold != 700 {
-		t.Fatalf("alias write invisible to /v1/config: %+v", doc.Solver)
-	}
-
-	if _, err := c.SetConfig(ctx, ConfigPatchRequest{
-		Solver: &SolverPatchSection{ApproxEpsilon: ptr(0.07)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ApproxConfig(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epsilon != 0.07 || got.Threshold != 700 {
-		t.Fatalf("unified write invisible to alias GET: %+v", got)
-	}
-}
-
-// newDirectServer builds a scheduler-backed Server without an HTTP
-// listener, for header- and wire-level assertions via httptest recorders.
-func newDirectServer(t *testing.T) (*scheduler.Scheduler, *Server) {
-	t.Helper()
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity: []float64{1, 1},
-		Policy:       policy.AMF,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc, NewServer(sc, []float64{1, 1}, policy.AMF)
 }
 
 // TestConfigDocumentWireShape pins the JSON nesting of the document so

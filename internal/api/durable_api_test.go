@@ -10,9 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 )
 
@@ -46,7 +46,7 @@ func newDurableStack(t *testing.T, dir string) *durableStack {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	srv := NewEngineServer(eng, reg, []float64{2, 2}, policy.AMF)
+	srv := NewBackendServer(eng, reg, []float64{2, 2}, policy.AMF)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &durableStack{sc: sc, eng: eng, cl: NewClient(ts.URL, ts.Client())}
@@ -88,36 +88,18 @@ func TestStructuredErrorCodes(t *testing.T) {
 // already dead reaches the backend, which refuses it; the server answers
 // 503/unavailable.
 func TestCancelledContextMapsToUnavailable(t *testing.T) {
-	for _, engine := range []bool{false, true} {
-		sc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{1, 1}, Policy: policy.AMF})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var srv *Server
-		if engine {
-			eng, err := serve.New(sc, serve.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = eng.Close() })
-			srv = NewEngineServer(eng, nil, []float64{1, 1}, policy.AMF)
-		} else {
-			srv = NewServer(sc, []float64{1, 1}, policy.AMF)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
-			strings.NewReader(`{"id":"x","demand":[1,1]}`)).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("engine=%v: cancelled request -> %d, want 503 (body %s)",
-				engine, rec.Code, rec.Body.String())
-		}
-		if !strings.Contains(rec.Body.String(), CodeUnavailable) {
-			t.Fatalf("engine=%v: cancelled request body %q missing %q",
-				engine, rec.Body.String(), CodeUnavailable)
-		}
+	_, srv := newDirectServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"id":"x","demand":[1,1]}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled request -> %d, want 503 (body %s)", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), CodeUnavailable) {
+		t.Fatalf("cancelled request body %q missing %q", rec.Body.String(), CodeUnavailable)
 	}
 }
 

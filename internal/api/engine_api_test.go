@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 )
 
 func newEngineTestServer(t *testing.T) (*Client, *serve.Engine) {
@@ -27,14 +27,14 @@ func newEngineTestServer(t *testing.T) (*Client, *serve.Engine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	srv := NewEngineServer(eng, reg, []float64{1, 1}, policy.AMF)
+	srv := NewBackendServer(eng, reg, []float64{1, 1}, policy.AMF)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), eng
 }
 
 // TestEngineBackedLifecycle runs the job lifecycle through the batched
-// engine backend: same wire behavior as the direct scheduler backend.
+// engine backend, reads served from its published snapshot.
 func TestEngineBackedLifecycle(t *testing.T) {
 	c, eng := newEngineTestServer(t)
 	if err := c.AddJob(context.Background(), AddJobRequest{ID: "a", Demand: []float64{1, 1}}); err != nil {
@@ -158,8 +158,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsOnDirectServer: the non-engine server also serves /v1/metrics
-// with HTTP middleware telemetry.
+// TestMetricsOnDirectServer: a server built without a shared registry
+// creates its own and still serves /v1/metrics with HTTP middleware
+// telemetry.
 func TestMetricsOnDirectServer(t *testing.T) {
 	c, _ := newTestServer(t)
 	if err := c.Healthz(context.Background()); err != nil {

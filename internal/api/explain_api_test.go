@@ -154,7 +154,7 @@ func TestSlowTracesEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	srv := NewEngineServer(eng, nil, []float64{4, 4}, policy.AMF).SetTraces(rec).SetSlowTraces(slow)
+	srv := NewBackendServer(eng, nil, []float64{4, 4}, policy.AMF).SetTraces(rec).SetSlowTraces(slow)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

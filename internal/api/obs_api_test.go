@@ -10,9 +10,9 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 )
 
 // newTracedServer builds the full observability stack: scheduler + traced
@@ -33,7 +33,7 @@ func newTracedServer(t *testing.T) (*httptest.Server, *span.Recorder, *obs.Regis
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	srv := NewEngineServer(eng, reg, []float64{4, 4}, policy.AMF).SetTraces(rec)
+	srv := NewBackendServer(eng, reg, []float64{4, 4}, policy.AMF).SetTraces(rec)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, rec, reg
@@ -163,11 +163,7 @@ func TestTracesLimitValidation(t *testing.T) {
 // TestTracesWithoutRecorder: an untraced server serves an empty list, not
 // an error.
 func TestTracesWithoutRecorder(t *testing.T) {
-	sc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(sc, []float64{1}, policy.AMF)
+	_, srv := newDirectServer(t)
 	req := httptest.NewRequest(http.MethodGet, "/v1/traces", nil)
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, req)

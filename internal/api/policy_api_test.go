@@ -31,7 +31,7 @@ func TestPolicyEndpointEngine(t *testing.T) {
 	if err := c.AddJob(ctx, AddJobRequest{ID: "a", Demand: []float64{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetPolicy(ctx, "drf"); err != nil {
+	if err := setPolicy(ctx, c, "drf"); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.PolicyName(); got != "drf" {
@@ -59,10 +59,10 @@ func TestPolicyEndpointEngine(t *testing.T) {
 
 	// Unknown and empty names are invalid_argument; the active policy is
 	// untouched.
-	if err := c.SetPolicy(ctx, "nope"); !errors.Is(err, ErrInvalidArgument) {
+	if err := setPolicy(ctx, c, "nope"); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("unknown policy err = %v, want ErrInvalidArgument", err)
 	}
-	if err := c.SetPolicy(ctx, ""); !errors.Is(err, ErrInvalidArgument) {
+	if err := setPolicy(ctx, c, ""); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("empty policy err = %v, want ErrInvalidArgument", err)
 	}
 	if pr, _ := c.Policy(ctx); pr.Policy != "drf" {
@@ -70,18 +70,28 @@ func TestPolicyEndpointEngine(t *testing.T) {
 	}
 }
 
-// TestPolicyEndpointDirect: the scheduler-backed server supports runtime
-// switching too.
+// TestPolicyEndpointDirect: a switch through PATCH /v1/config reaches the
+// scheduler behind the engine and shows on GET /v1/policy.
 func TestPolicyEndpointDirect(t *testing.T) {
-	c, _ := newTestServer(t)
+	c, sc := newTestServer(t)
 	ctx := context.Background()
-	if err := c.SetPolicy(ctx, "propfair"); err != nil {
+	if err := setPolicy(ctx, c, "propfair"); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := c.Policy(ctx)
 	if err != nil || pr.Policy != "propfair" {
 		t.Fatalf("policy = %+v, %v", pr, err)
 	}
+	if got := sc.PolicyName(); got != "propfair" {
+		t.Fatalf("scheduler policy %q after switch", got)
+	}
+}
+
+// setPolicy switches the fairness policy the one runtime way: a
+// PATCH /v1/config carrying only the policy.
+func setPolicy(ctx context.Context, c *Client, name string) error {
+	_, err := c.SetConfig(ctx, ConfigPatchRequest{Policy: &name})
+	return err
 }
 
 // TestPolicySwitchSurvivesCrash: a runtime switch is a logged mutation.
@@ -99,7 +109,7 @@ func TestPolicySwitchSurvivesCrash(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.cl.SetPolicy(ctx, "drf"); err != nil {
+	if err := setPolicy(ctx, st.cl, "drf"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.cl.AddJob(ctx, AddJobRequest{ID: "c", Demand: []float64{1, 1}}); err != nil {
@@ -125,6 +135,75 @@ func TestPolicySwitchSurvivesCrash(t *testing.T) {
 	sameAllocations(t, "crash-recovery across policy switch", after, before)
 }
 
+// TestLegacySetPolicyRecordReplays: nothing writes wal.OpSetPolicy any
+// more, but a log written before the policy switch moved to
+// PATCH /v1/config carries it. Such a log must still recover — under the
+// switched policy, with the allocation a switch through PATCH produces.
+func TestLegacySetPolicyRecordReplays(t *testing.T) {
+	ctx := context.Background()
+	jobs := []AddJobRequest{
+		{ID: "a", Demand: []float64{2, 0}},
+		{ID: "b", Demand: []float64{1, 2}},
+	}
+
+	st := newDurableStack(t, t.TempDir())
+	if _, err := st.cl.AddJobs(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := setPolicy(ctx, st.cl, "drf"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.cl.AddJob(ctx, AddJobRequest{ID: "c", Demand: []float64{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.cl.Allocation(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	log, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]scheduler.JobSpec, len(jobs))
+	for i, j := range jobs {
+		specs[i] = j.spec()
+	}
+	for _, batch := range [][]wal.Mutation{
+		{{Op: wal.OpAddJobs, Jobs: specs}},
+		{{Op: wal.OpSetPolicy, Policy: "drf"}},
+		{{Op: wal.OpAddJob, ID: "c", Demand: []float64{1, 1}}},
+	} {
+		payload, err := wal.EncodeBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := newDurableStack(t, dir)
+	if got := legacy.sc.PolicyName(); got != "drf" {
+		t.Fatalf("recovered policy %q, want drf", got)
+	}
+	got, err := legacy.cl.Allocation(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Policy != "drf" {
+		t.Fatalf("recovered allocation policy %q", got.Policy)
+	}
+	sameAllocations(t, "legacy set_policy replay", got, want)
+}
+
 // TestRecoveryRefusesMismatchedSnapshotPolicy: a graceful shutdown after
 // a switch folds the WAL into a snapshot stamped with the new policy.
 // Restarting with the old policy configured must fail loudly at replay,
@@ -137,7 +216,7 @@ func TestRecoveryRefusesMismatchedSnapshotPolicy(t *testing.T) {
 	if err := st.cl.AddJob(ctx, AddJobRequest{ID: "a", Demand: []float64{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.cl.SetPolicy(ctx, "psmmf"); err != nil {
+	if err := setPolicy(ctx, st.cl, "psmmf"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.eng.Close(); err != nil { // folds into a final snapshot

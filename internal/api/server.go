@@ -21,11 +21,10 @@
 //	PATCH  /v1/config                  apply a partial runtime-tuning
 //	                                   update: validated in full with
 //	                                   per-field error codes, applied
-//	                                   atomically, WAL-logged
+//	                                   atomically, WAL-logged — the only
+//	                                   runtime write path for the policy
+//	                                   and solver knobs
 //	GET    /v1/policy                  active fairness policy + valid names
-//	PUT    /v1/policy                  DEPRECATED alias of PATCH /v1/config
-//	                                   {"policy": ...}; sends Deprecation +
-//	                                   successor-version Link headers
 //	POST   /v1/queues                  declare a weighted queue
 //	POST   /v1/jobs                    register a job (optionally in a queue)
 //	POST   /v1/jobs:batch              register many jobs atomically, one solve
@@ -41,11 +40,6 @@
 //	PUT    /v1/snapshot                restore controller state
 //	PUT    /v1/cluster/external-weight reconcile the external share-weight
 //	                                   sum (cluster router broadcast)
-//	PUT    /v1/solver/approx           DEPRECATED alias of PATCH /v1/config
-//	                                   {"solver": ...}; sends Deprecation +
-//	                                   successor-version Link headers
-//	GET    /v1/solver/approx           current approximation knobs
-//	                                   (deprecated; read /v1/config)
 //	GET    /metrics                    Prometheus text exposition
 //
 // Every endpoint is wrapped in metrics middleware recording per-endpoint
@@ -59,13 +53,13 @@
 // context into the engine's group commits, where it correlates the
 // request with the commit trace recorded at GET /v1/traces.
 //
-// The server fronts either a bare scheduler.Scheduler (NewServer) or a
-// serve.Engine (NewEngineServer) — with the engine, mutations are batched
-// through its group commit and GET /v1/allocation is served lock-free from
-// the engine's published snapshot. Handlers pass the request context to
-// the backend: a client that disconnects or times out while its mutation
-// is still queued abandons the commit instead of blocking on the batch
-// window.
+// The server fronts one Backend (NewBackendServer): a serve.Engine, whose
+// mutations are batched through its group commit and whose GET
+// /v1/allocation is served lock-free from the published snapshot, the
+// cluster router, or a read replica. Handlers pass the request context
+// to the backend: a client that disconnects or times out while its
+// mutation is still queued abandons the commit instead of blocking on
+// the batch window.
 //
 // Errors are returned as {"error": "...", "code": "..."} where code is one
 // of the stable constants in this package (invalid_argument → 400,
@@ -79,7 +73,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -105,8 +98,9 @@ const ParentHeader = "X-AMF-Parent-Span"
 // Backend is the controller surface the API serves. All mutations and
 // reads are context-aware; implementations must return promptly with
 // ctx.Err() (or an error wrapping it) once ctx is cancelled. Implemented
-// by *serve.Engine (batched mutations, lock-free snapshot reads) and, via
-// an internal adapter, by a bare *scheduler.Scheduler.
+// by *serve.Engine (batched mutations, lock-free snapshot reads), the
+// cluster router (routed mutations, merged reads) and read replicas
+// (mutations rejected, reads from the replayed view).
 type Backend interface {
 	AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error
 	AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error
@@ -120,195 +114,52 @@ type Backend interface {
 	Stats() scheduler.Stats
 	Snapshot() scheduler.Snapshot
 	Restore(ctx context.Context, snap scheduler.Snapshot) error
-}
 
-// ReadyChecker is the optional readiness surface behind GET /v1/readyz.
-// Backends that can be temporarily unable to take mutations (WAL recovery,
-// replica replay, fail-stop) return the reason from ReadyErr; backends
-// without the method are always ready. *serve.Engine implements it.
-type ReadyChecker interface {
+	// ReadyErr is the readiness behind GET /v1/readyz: nil when the
+	// backend can take mutations, else the reason it cannot (WAL
+	// recovery, replica replay, fail-stop).
 	ReadyErr() error
-}
-
-// Versioned is the optional snapshot-version surface. Backends that
-// publish versioned allocation snapshots (the engine's RCU snapshot, a
-// replica's replayed view) expose the version so cluster reads can be
-// stitched into a coherent version vector.
-type Versioned interface {
+	// SnapshotVersion is the version of the published allocation, a
+	// monotonic per-backend sequence the cluster router assembles into
+	// its snapshot version vector.
 	SnapshotVersion() uint64
+	// PolicyName is the wire name of the active fairness policy.
+	PolicyName() string
+	// Explain derives the water-filling evidence (per-job final level,
+	// freeze round, binding sites, floor flags; per-site saturation)
+	// behind GET /v1/explain from the published allocation. job ""
+	// requests the full explanation; a named job must exist
+	// (scheduler.ErrUnknownJob → 404).
+	Explain(ctx context.Context, job string) (*serve.ExplainResult, error)
+	// RuntimeConfig and ApplyConfig are GET/PATCH /v1/config: the full
+	// runtime-tuning document, and a partial update validated in full
+	// and applied atomically. The read takes a context (and can fail)
+	// because the cluster router fans it out to shards.
+	RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error)
+	ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 }
 
 // ExternalWeighter is the optional cluster-reconciliation surface behind
 // PUT /v1/cluster/external-weight: the share-weight sum held by jobs
-// outside this backend, folded into Enhanced-AMF equal-share floors.
+// outside this backend, folded into Enhanced-AMF equal-share floors. Only
+// a shard engine takes it; other backends reject the route with
+// invalid_argument.
 type ExternalWeighter interface {
 	SetExternalWeight(ctx context.Context, w float64) error
 }
 
-// ApproxConfigurer is the optional solver-tuning surface behind
-// PUT/GET /v1/solver/approx: the approximate water-filling knobs
-// (core.Solver.ApproxEpsilon / ApproxThreshold). Backends without the
-// methods reject the routes with invalid_argument.
-type ApproxConfigurer interface {
-	SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error
-	ApproxConfig() (epsilon float64, threshold int)
-}
-
-// PolicyController is the optional fairness-policy surface behind
-// GET/PUT /v1/policy: the active policy's wire name, and a runtime switch
-// to another one (policy.Names lists the valid names). Backends without
-// the methods serve the constructor-time policy read-only and reject the
-// switch with invalid_argument.
-type PolicyController interface {
-	PolicyName() string
-	SetPolicy(ctx context.Context, name string) error
-}
-
-// Explainer is the optional allocation-explainability surface behind
-// GET /v1/explain: the water-filling evidence (per-job final level,
-// freeze round, binding sites, floor flags; per-site saturation) derived
-// from the backend's published allocation. job "" requests the full
-// explanation; a named job must exist (scheduler.ErrUnknownJob → 404).
-// Implemented by *serve.Engine (snapshot-consistent, cached per version),
-// the cluster router (routed to the owning shard) and read replicas.
-type Explainer interface {
-	Explain(ctx context.Context, job string) (*serve.ExplainResult, error)
+// PhaseReporter is the optional phase-reconciliation read surface:
+// PhaseInfo returns the count of acknowledged commutative mutations
+// buffered against hot components and not yet folded into the published
+// allocation (0 = the allocation is exact), plus the classifier's
+// current hot-set size. GET /v1/allocation carries both.
+type PhaseReporter interface {
+	PhaseInfo() (phaseLag, hotComponents int)
 }
 
 var _ Backend = (*serve.Engine)(nil)
-var _ Backend = schedulerBackend{}
-var _ ReadyChecker = (*serve.Engine)(nil)
-var _ Versioned = (*serve.Engine)(nil)
 var _ ExternalWeighter = (*serve.Engine)(nil)
-var _ ExternalWeighter = schedulerBackend{}
-var _ ApproxConfigurer = (*serve.Engine)(nil)
-var _ ApproxConfigurer = schedulerBackend{}
-var _ PolicyController = (*serve.Engine)(nil)
-var _ PolicyController = schedulerBackend{}
-var _ Explainer = (*serve.Engine)(nil)
-var _ Explainer = schedulerBackend{}
-
-// schedulerBackend adapts a bare controller to the context-aware Backend.
-// The scheduler's methods are fast and synchronous, so honoring the
-// context reduces to not starting after cancellation.
-type schedulerBackend struct {
-	sc *scheduler.Scheduler
-}
-
-func (b schedulerBackend) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJob(id, weight, demand, work)
-}
-
-func (b schedulerBackend) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJobInQueue(queue, id, weight, demand, work)
-}
-
-func (b schedulerBackend) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJobs(specs)
-}
-
-func (b schedulerBackend) AddQueue(ctx context.Context, name string, weight float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddQueue(name, weight)
-}
-
-func (b schedulerBackend) RemoveJob(ctx context.Context, id string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.RemoveJob(id)
-}
-
-func (b schedulerBackend) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return b.sc.ReportProgress(id, done)
-}
-
-func (b schedulerBackend) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.UpdateWeight(id, weight)
-}
-
-func (b schedulerBackend) Shares(ctx context.Context, id string) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.sc.Shares(id)
-}
-
-func (b schedulerBackend) Allocation(ctx context.Context) (map[string][]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.sc.Allocation()
-}
-
-func (b schedulerBackend) Stats() scheduler.Stats { return b.sc.Stats() }
-
-func (b schedulerBackend) Snapshot() scheduler.Snapshot { return b.sc.Snapshot() }
-
-func (b schedulerBackend) Restore(ctx context.Context, snap scheduler.Snapshot) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.Restore(snap)
-}
-
-func (b schedulerBackend) SetExternalWeight(ctx context.Context, w float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.SetExternalWeight(w)
-}
-
-func (b schedulerBackend) SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.SetApproxConfig(epsilon, threshold)
-}
-
-func (b schedulerBackend) ApproxConfig() (epsilon float64, threshold int) {
-	return b.sc.ApproxConfig()
-}
-
-func (b schedulerBackend) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ex, err := b.sc.Explain()
-	if err != nil {
-		return nil, err
-	}
-	if job != "" && ex.JobByName(job) == nil {
-		return nil, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, job)
-	}
-	return &serve.ExplainResult{Policy: b.sc.PolicyName(), Explanation: ex}, nil
-}
-
-func (b schedulerBackend) PolicyName() string { return b.sc.PolicyName() }
-
-func (b schedulerBackend) SetPolicy(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.SetPolicyName(name)
-}
+var _ PhaseReporter = (*serve.Engine)(nil)
 
 // AddJobRequest registers a job. Queue, when set, must name a queue
 // previously declared via POST /v1/queues.
@@ -373,9 +224,9 @@ type SharesResponse struct {
 }
 
 // AllocationResponse carries every job's allocation. Version is the
-// backend's snapshot version when it publishes one (see Versioned) — a
-// monotonic per-backend sequence the cluster router assembles into its
-// snapshot version vector; 0 when the backend is unversioned.
+// backend's snapshot version (Backend.SnapshotVersion) — a monotonic
+// per-backend sequence the cluster router assembles into its snapshot
+// version vector.
 type AllocationResponse struct {
 	Jobs    map[string]SharesResponse `json:"jobs"`
 	Version uint64                    `json:"version,omitempty"`
@@ -392,15 +243,13 @@ type AllocationResponse struct {
 }
 
 // ConfigResponse is the GET /v1/config (and PATCH /v1/config response)
-// document: the controller's immutable boot configuration plus, when the
-// backend exposes the unified tuning surface (ConfigPatcher), the full
-// runtime-tuning state. Solver and Phase are nil for legacy read-only
-// backends, keeping the historical two-field shape.
+// document: the controller's immutable site capacities plus the full
+// runtime-tuning state.
 type ConfigResponse struct {
-	SiteCapacity []float64              `json:"site_capacity"`
-	Policy       string                 `json:"policy"`
-	Solver       *SolverConfigSection   `json:"solver,omitempty"`
-	Phase        *scheduler.PhaseConfig `json:"phase,omitempty"`
+	SiteCapacity []float64             `json:"site_capacity"`
+	Policy       string                `json:"policy"`
+	Solver       SolverConfigSection   `json:"solver"`
+	Phase        scheduler.PhaseConfig `json:"phase"`
 }
 
 // StatsResponse mirrors scheduler.Stats, plus the active policy name.
@@ -452,65 +301,34 @@ type errorResponse struct {
 // Server wraps a controller backend with the HTTP API.
 type Server struct {
 	sc         Backend
-	cfg        ConfigResponse
+	capacity   []float64
 	mux        *http.ServeMux
 	reg        *obs.Registry
 	traces     *span.Recorder
 	slowTraces *span.SlowRecorder
 }
 
-// NewServer builds the API around a bare controller. capacity and
-// pol are echoed by /v1/config (the scheduler does not expose the
-// capacities). The server creates its own metrics registry (see Metrics).
-func NewServer(sc *scheduler.Scheduler, capacity []float64, pol policy.Policy) *Server {
-	return newServer(schedulerBackend{sc: sc}, obs.NewRegistry(), capacity, pol)
-}
-
-// NewEngineServer builds the API around a serving engine: mutations are
-// group-committed, allocation reads come lock-free from the engine's
-// published snapshot. reg should be the registry the engine instruments
-// (so /v1/metrics unifies HTTP and solver telemetry); nil creates a fresh
-// one.
-func NewEngineServer(eng *serve.Engine, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
+// NewBackendServer builds the API around a backend: a serving engine, the
+// cluster router or a read replica. capacity is echoed by /v1/config
+// (backends do not expose it). reg should be the registry the backend
+// instruments, so /v1/metrics unifies HTTP and solver telemetry; nil
+// creates a fresh one. The policy argument is not consulted: every
+// backend reports its live policy (Backend.PolicyName).
+func NewBackendServer(be Backend, reg *obs.Registry, capacity []float64, _ policy.Policy) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	return newServer(eng, reg, capacity, pol)
-}
-
-// NewBackendServer builds the API around any Backend implementation —
-// the extension point for backends beyond the bare scheduler and the
-// engine, such as a cluster read replica or the shard router's merged
-// view. Optional capabilities (ReadyChecker, Versioned, ExternalWeighter,
-// PolicyController) are discovered by interface assertion. nil reg
-// creates a fresh registry.
-func NewBackendServer(be Backend, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return newServer(be, reg, capacity, pol)
-}
-
-func newServer(be Backend, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
-	name := ""
-	if pol != nil {
-		name = pol.Name()
 	}
 	s := &Server{
-		sc: be,
-		cfg: ConfigResponse{
-			SiteCapacity: append([]float64(nil), capacity...),
-			Policy:       name,
-		},
-		mux: http.NewServeMux(),
-		reg: reg,
+		sc:       be,
+		capacity: append([]float64(nil), capacity...),
+		mux:      http.NewServeMux(),
+		reg:      reg,
 	}
 	s.route("GET /v1/healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", s.handleReadyz)
 	s.route("GET /v1/config", s.handleConfig)
 	s.route("PATCH /v1/config", s.handlePatchConfig)
 	s.route("GET /v1/policy", s.handleGetPolicy)
-	s.route("PUT /v1/policy", s.handlePutPolicy)
 	s.route("POST /v1/jobs", s.handleAddJob)
 	s.route("POST /v1/jobs:batch", s.handleAddJobsBatch)
 	s.route("POST /v1/queues", s.handleAddQueue)
@@ -526,8 +344,6 @@ func newServer(be Backend, reg *obs.Registry, capacity []float64, pol policy.Pol
 	s.route("GET /v1/snapshot", s.handleGetSnapshot)
 	s.route("PUT /v1/snapshot", s.handlePutSnapshot)
 	s.route("PUT /v1/cluster/external-weight", s.handleExternalWeight)
-	s.route("PUT /v1/solver/approx", s.handlePutApproxConfig)
-	s.route("GET /v1/solver/approx", s.handleGetApproxConfig)
 	s.route("GET /metrics", s.handlePromMetrics)
 	return s
 }
@@ -633,16 +449,13 @@ type ReadyResponse struct {
 // handleReadyz is readiness, distinct from handleHealthz's liveness: 503
 // with the stable "unavailable" code while the backend cannot take
 // mutations — WAL recovery or replica replay still in progress, or a WAL
-// fail-stop (serve.ErrWALFailed) — and 200 once caught up. Backends
-// without a ReadyErr method are unconditionally ready.
+// fail-stop (serve.ErrWALFailed) — and 200 once caught up.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if rc, ok := s.sc.(ReadyChecker); ok {
-		if err := rc.ReadyErr(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{
-				Status: "unready", Error: err.Error(), Code: CodeUnavailable,
-			})
-			return
-		}
+	if err := s.sc.ReadyErr(); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{
+			Status: "unready", Error: err.Error(), Code: CodeUnavailable,
+		})
+		return
 	}
 	writeJSON(w, http.StatusOK, ReadyResponse{Status: "ready"})
 }
@@ -672,108 +485,8 @@ func (s *Server) handleExternalWeight(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }
 
-// ApproxConfigRequest retunes the solver's approximate water-filling
-// knobs. Epsilon is the per-job deviation budget as a fraction of the
-// instance scale (0 disables the fast path); Threshold is the component
-// size (jobs + demand edges) above which the approximation engages.
-type ApproxConfigRequest struct {
-	Epsilon   float64 `json:"epsilon"`
-	Threshold int     `json:"threshold"`
-}
-
-// ApproxConfigResponse reports the solver's current approximation knobs.
-type ApproxConfigResponse struct {
-	Epsilon   float64 `json:"epsilon"`
-	Threshold int     `json:"threshold"`
-}
-
-// handlePutApproxConfig is the deprecated alias of
-// PATCH /v1/config {"solver": ...}: same wire shape as always, routed
-// through the unified (logged, atomic) config application when the
-// backend provides it, and advertising the successor endpoint via the
-// Deprecation/Link headers.
-func (s *Server) handlePutApproxConfig(w http.ResponseWriter, r *http.Request) {
-	setDeprecatedAlias(w)
-	ac, ok := s.sc.(ApproxConfigurer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support approximation tuning", Code: CodeInvalidArgument})
-		return
-	}
-	var req ApproxConfigRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		// NaN cannot ride JSON, so a NaN epsilon surfaces here as a
-		// decode failure — already an invalid_argument via writeError.
-		writeError(w, err)
-		return
-	}
-	if req.Epsilon < 0 || math.IsInf(req.Epsilon, 0) || math.IsNaN(req.Epsilon) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "epsilon must be a finite non-negative fraction", Code: CodeInvalidArgument})
-		return
-	}
-	if req.Threshold < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "threshold must be non-negative", Code: CodeInvalidArgument})
-		return
-	}
-	err := error(nil)
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		err = cp.ApplyConfig(r.Context(), scheduler.ConfigPatch{
-			ApproxEpsilon: &req.Epsilon, ApproxThreshold: &req.Threshold})
-	} else {
-		err = ac.SetApproxConfig(r.Context(), req.Epsilon, req.Threshold)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
-}
-
-func (s *Server) handleGetApproxConfig(w http.ResponseWriter, r *http.Request) {
-	setDeprecatedAlias(w)
-	ac, ok := s.sc.(ApproxConfigurer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support approximation tuning", Code: CodeInvalidArgument})
-		return
-	}
-	eps, threshold := ac.ApproxConfig()
-	writeJSON(w, http.StatusOK, ApproxConfigResponse{Epsilon: eps, Threshold: threshold})
-}
-
-func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		doc, err := s.configDoc(r.Context(), cp)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	cfg := s.cfg
-	cfg.Policy = s.policyName()
-	writeJSON(w, http.StatusOK, cfg)
-}
-
-// policyName reports the backend's live policy when it exposes one
-// (PolicyController), else the constructor-time echo.
-func (s *Server) policyName() string {
-	if pc, ok := s.sc.(PolicyController); ok {
-		return pc.PolicyName()
-	}
-	return s.cfg.Policy
-}
-
-// PolicyRequest switches the active fairness policy by wire name.
-type PolicyRequest struct {
-	Policy string `json:"policy"`
-}
-
-// PolicyResponse reports the active fairness policy and, on reads, the
-// full set of valid wire names.
+// PolicyResponse reports the active fairness policy and the full set of
+// valid wire names. The policy is switched through PATCH /v1/config.
 type PolicyResponse struct {
 	Policy    string   `json:"policy"`
 	Available []string `json:"available,omitempty"`
@@ -781,45 +494,9 @@ type PolicyResponse struct {
 
 func (s *Server) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, PolicyResponse{
-		Policy:    s.policyName(),
+		Policy:    s.sc.PolicyName(),
 		Available: policy.Names(),
 	})
-}
-
-// handlePutPolicy is the deprecated alias of
-// PATCH /v1/config {"policy": ...}: same wire shape as always, routed
-// through the unified (logged, atomic) config application when the
-// backend provides it, and advertising the successor endpoint via the
-// Deprecation/Link headers.
-func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	setDeprecatedAlias(w)
-	pc, ok := s.sc.(PolicyController)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support policy switching", Code: CodeInvalidArgument})
-		return
-	}
-	var req PolicyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Policy == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "policy name required", Code: CodeInvalidArgument})
-		return
-	}
-	err := error(nil)
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		err = cp.ApplyConfig(r.Context(), scheduler.ConfigPatch{Policy: &req.Policy})
-	} else {
-		err = pc.SetPolicy(r.Context(), req.Policy)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Policy: pc.PolicyName()})
 }
 
 func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
@@ -976,15 +653,13 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	for id, shares := range alloc {
 		resp.Jobs[id] = sharesResponse(id, shares)
 	}
-	if v, ok := s.sc.(Versioned); ok {
-		// Read after the allocation: the version is at or after the map,
-		// so a reader polling for "version >= X" never sees stale data.
-		resp.Version = v.SnapshotVersion()
-	}
+	// Read after the allocation: the version is at or after the map, so a
+	// reader polling for "version >= X" never sees stale data.
+	resp.Version = s.sc.SnapshotVersion()
 	if pr, ok := s.sc.(PhaseReporter); ok {
 		resp.PhaseLag, resp.HotComponents = pr.PhaseInfo()
 	}
-	resp.Policy = s.policyName()
+	resp.Policy = s.sc.PolicyName()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1009,7 +684,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sc.Stats()
 	snap := s.reg.Snapshot()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Policy: s.policyName(),
+		Policy: s.sc.PolicyName(),
 		Solves: st.Solves, Skipped: st.Skipped, Jobs: st.Jobs, Completed: st.Completed,
 		LastSolveSeconds:    st.LastSolve.Seconds(),
 		TotalSolveSeconds:   st.TotalSolveTime.Seconds(),
@@ -1029,8 +704,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // latencyQuantiles summarizes one of the engine's latency histograms for
-// /v1/stats, or nil when the backend never recorded it (bare scheduler,
-// replica) — looked up through the snapshot so reading stats does not
+// /v1/stats, or nil when the backend never recorded it (router, replica)
+// — looked up through the snapshot so reading stats does not
 // create empty histograms in the registry.
 func latencyQuantiles(snap obs.Snapshot, name string) *LatencyQuantiles {
 	h, ok := snap.Histograms[name]
@@ -1096,7 +771,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // the full per-job and per-site explanation is dumped.
 type ExplainResponse struct {
 	// Version is the allocation snapshot version the explanation was
-	// derived from (0 for unversioned backends).
+	// derived from.
 	Version uint64 `json:"version,omitempty"`
 	// Policy is the fairness policy the allocation was solved under.
 	Policy string `json:"policy,omitempty"`
@@ -1119,14 +794,8 @@ type ExplainResponse struct {
 // GET /v1/explain dumps the full water-filling evidence,
 // GET /v1/explain?job=<name> one job's row (404 for unknown jobs).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	ex, ok := s.sc.(Explainer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support allocation explanations", Code: CodeInvalidArgument})
-		return
-	}
 	job := r.URL.Query().Get("job")
-	res, err := ex.Explain(r.Context(), job)
+	res, err := s.sc.Explain(r.Context(), job)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -170,18 +170,13 @@ func TestRouterConfigMixedPolicyRefusal(t *testing.T) {
 // shard and RuntimeConfig becomes GET /v1/config.
 func TestRouterConfigOverHTTPShards(t *testing.T) {
 	caps := []float64{1, 1, 1, 1}
-	shards := make([]cluster.Shard, 2)
-	scs := make([]*scheduler.Scheduler, 2)
-	for i := range shards {
-		sc, err := scheduler.New(scheduler.Config{SiteCapacity: caps, Policy: policy.AMF})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := api.NewServer(sc, caps, policy.AMF)
+	engines, scs := newEngineShards(t, 2, caps, policy.AMF)
+	shards := make([]cluster.Shard, len(engines))
+	for i, sh := range engines {
+		srv := api.NewBackendServer(sh.(cluster.EngineShard).Eng, nil, caps, policy.AMF)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		shards[i] = cluster.HTTPShard{Client: api.NewClient(ts.URL, ts.Client())}
-		scs[i] = sc
 	}
 	r, err := cluster.NewRouter(shards, policy.AMF)
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/obs/span"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func TestRouterOverHTTPShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = eng.Close() })
-		srv := httptest.NewServer(api.NewEngineServer(eng, nil, caps, pol).SetTraces(rec).Handler())
+		srv := httptest.NewServer(api.NewBackendServer(eng, nil, caps, pol).SetTraces(rec).Handler())
 		t.Cleanup(srv.Close)
 		shards[i] = cluster.HTTPShard{Client: api.NewClient(srv.URL, srv.Client())}
 	}

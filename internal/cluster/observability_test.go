@@ -149,7 +149,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	srv := httptest.NewServer(api.NewEngineServer(eng, nil, caps, pol).SetTraces(rec).Handler())
+	srv := httptest.NewServer(api.NewBackendServer(eng, nil, caps, pol).SetTraces(rec).Handler())
 	t.Cleanup(srv.Close)
 	cl := api.NewClient(srv.URL, srv.Client())
 

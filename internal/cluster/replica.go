@@ -41,7 +41,7 @@ type ReplicaConfig struct {
 	// WAL carries mutations, not configuration. (A policy mismatch is
 	// caught on the first snapshot reset — the snapshot's policy header
 	// fails scheduler.Restore; runtime switches on the primary replay
-	// through the log's OpSetPolicy records and keep the replica aligned.)
+	// through the log's config records and keep the replica aligned.)
 	SiteCapacity []float64
 	Policy       policy.Policy
 	// Interval is the poll cadence once caught up (default 50ms). While
@@ -320,7 +320,7 @@ func (r *Replica) Metrics() *obs.Registry { return r.reg }
 func (r *Replica) Traces() *span.Recorder { return r.traces }
 
 // Explain derives the water-filling explanation from the replica's
-// replayed job set (api.Explainer): same evidence as the primary, bounded
+// replayed job set: same evidence as the primary, bounded
 // by the replica's staleness. Unavailable (ErrSyncing) before the first
 // published view.
 func (r *Replica) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
@@ -352,8 +352,8 @@ func (r *Replica) LastError() string {
 	return ""
 }
 
-// ReadyErr implements api.ReadyChecker: unready (503 through the API)
-// until the replica has caught up with the primary's durable head once.
+// ReadyErr is unready (503 through the API) until the replica has caught
+// up with the primary's durable head once.
 func (r *Replica) ReadyErr() error {
 	if !r.caughtUp.Load() {
 		if msg := r.LastError(); msg != "" {
@@ -364,7 +364,7 @@ func (r *Replica) ReadyErr() error {
 	return nil
 }
 
-// SnapshotVersion implements api.Versioned.
+// SnapshotVersion is the published view's version (0 before the first).
 func (r *Replica) SnapshotVersion() uint64 {
 	if v := r.view.Load(); v != nil {
 		return v.Version
@@ -425,13 +425,27 @@ func (r *Replica) Allocation(ctx context.Context) (map[string][]float64, error) 
 }
 
 // PolicyName reports the replica's active fairness policy — it follows
-// the primary through replayed OpSetPolicy records (api.PolicyController
-// read side).
+// the primary through replayed config patches.
 func (r *Replica) PolicyName() string { return r.sc.PolicyName() }
 
-// SetPolicy is rejected: the replica follows the primary's policy through
-// the WAL (api.PolicyController write side, read-only here).
-func (r *Replica) SetPolicy(ctx context.Context, name string) error { return ErrReadOnly }
+// RuntimeConfig reports the replayed scheduler's runtime-tuning state,
+// which follows the primary through replayed config patches. Unavailable
+// (ErrSyncing) before the first published view.
+func (r *Replica) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
+	if err := ctx.Err(); err != nil {
+		return scheduler.RuntimeConfig{}, err
+	}
+	if r.view.Load() == nil {
+		return scheduler.RuntimeConfig{}, ErrSyncing
+	}
+	return r.sc.RuntimeConfig(), nil
+}
+
+// ApplyConfig is rejected: the replica's config follows the primary's
+// through the WAL.
+func (r *Replica) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
+	return ErrReadOnly
+}
 
 func (r *Replica) Stats() scheduler.Stats { return r.sc.Stats() }
 

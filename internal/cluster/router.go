@@ -88,10 +88,14 @@ type RouterStats struct {
 //
 // Mutations are serialized through the router's mutex: the router is the
 // single sequencer that keeps site ownership and the weight ledger
-// consistent with what the shards have durably applied.
+// consistent with what the shards have durably applied. Reads never take
+// that mutex, so a point read does not queue behind another shard's
+// commit, fsync or weight broadcast.
 type Router struct {
-	shards   []Shard
-	polName  string
+	shards []Shard
+	// polName is the cluster's policy, written under mu by ApplyConfig and
+	// read lock-free by every allocation, stats and policy read.
+	polName  atomic.Pointer[string]
 	enhanced bool
 
 	// reg receives the router's own observability families: per-op fan-out
@@ -110,13 +114,21 @@ type Router struct {
 	extraScrapes []scrapeTarget
 
 	mu        sync.Mutex
-	siteOwner map[int]int    // site → shard holding jobs that demand it
-	siteRef   map[int]int    // site → count of routed jobs demanding it
-	jobShard  map[string]int // job → shard
+	siteOwner map[int]int // site → shard holding jobs that demand it
+	siteRef   map[int]int // site → count of routed jobs demanding it
 	jobSites  map[string][]int
 	jobWeight map[string]float64 // effective (normalized) weight
 	shardWt   []float64          // per-shard live weight sum W_k
 	weightSum float64            // global W = Σ W_k
+	// stale marks the shards whose last external-weight send failed: their
+	// Enhanced-AMF floors lag the ledger until a later reconcile re-sends.
+	stale map[int]bool
+
+	// routeMu guards jobShard (job → shard) for the read path. Writers
+	// also hold mu and take routeMu only to change the map, so a read
+	// waits at most for one map write, never for a shard commit.
+	routeMu  sync.RWMutex
+	jobShard map[string]int
 
 	broadcastVersion  atomic.Uint64
 	broadcasts        atomic.Int64
@@ -141,9 +153,8 @@ func NewRouter(shards []Shard, pol policy.Policy) (*Router, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("cluster: router needs a policy")
 	}
-	return &Router{
+	r := &Router{
 		shards:    shards,
-		polName:   pol.Name(),
 		enhanced:  pol.Capabilities().GlobalWeightFloors,
 		siteOwner: map[int]int{},
 		siteRef:   map[int]int{},
@@ -151,7 +162,11 @@ func NewRouter(shards []Shard, pol policy.Policy) (*Router, error) {
 		jobSites:  map[string][]int{},
 		jobWeight: map[string]float64{},
 		shardWt:   make([]float64, len(shards)),
-	}, nil
+		stale:     map[int]bool{},
+	}
+	name := pol.Name()
+	r.polName.Store(&name)
+	return r, nil
 }
 
 // NumShards reports the cluster size.
@@ -164,9 +179,13 @@ type scrapeTarget struct {
 }
 
 // SetMetrics attaches the registry receiving the router's fan-out
-// telemetry. Call before serving; returns r for chaining.
+// telemetry and the cluster.stale_shards gauge. Call before serving;
+// returns r for chaining.
 func (r *Router) SetMetrics(reg *obs.Registry) *Router {
 	r.reg = reg
+	if reg != nil {
+		reg.Gauge("cluster.stale_shards") // exported at 0 until a send fails
+	}
 	return r
 }
 
@@ -238,26 +257,21 @@ func (r *Router) finishOp(tb *span.Builder, err error) {
 
 // PolicyName reports the fairness policy the cluster runs — the router's
 // configured policy, which SyncFromShards verifies every shard agrees
-// with. The router deliberately does NOT implement bespoke runtime
-// switching (api.PolicyController); a cluster-wide switch goes through
-// the unified config surface (ApplyConfig), which refuses to start from
-// a mixed cluster and rolls the change across every shard.
-func (r *Router) PolicyName() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.polName
-}
+// with. A cluster-wide switch goes through ApplyConfig, which refuses to
+// start from a mixed cluster and rolls the change across every shard.
+func (r *Router) PolicyName() string { return *r.polName.Load() }
 
 // checkShardPoliciesLocked verifies every shard runs the router's policy.
 func (r *Router) checkShardPoliciesLocked(ctx context.Context) error {
+	want := r.PolicyName()
 	for i, sh := range r.shards {
 		name, err := sh.PolicyName(ctx)
 		if err != nil {
 			return fmt.Errorf("cluster: policy from shard %d: %w", i, err)
 		}
-		if name != r.polName {
+		if name != want {
 			return fmt.Errorf("%w: shard %d runs %q, router expects %q",
-				ErrPolicyMismatch, i, name, r.polName)
+				ErrPolicyMismatch, i, name, want)
 		}
 	}
 	return nil
@@ -307,7 +321,9 @@ func (r *Router) routeLocked(sites []int, extra map[int]int) (int, error) {
 // weight ledger, returning the weight delta to reconcile.
 func (r *Router) recordJobLocked(id string, shard int, sites []int, weight float64) float64 {
 	w := effWeight(weight)
+	r.routeMu.Lock()
 	r.jobShard[id] = shard
+	r.routeMu.Unlock()
 	r.jobSites[id] = sites
 	r.jobWeight[id] = w
 	for _, s := range sites {
@@ -330,7 +346,9 @@ func (r *Router) forgetJobLocked(id string) float64 {
 			delete(r.siteOwner, s)
 		}
 	}
+	r.routeMu.Lock()
 	delete(r.jobShard, id)
+	r.routeMu.Unlock()
 	delete(r.jobSites, id)
 	delete(r.jobWeight, id)
 	r.shardWt[shard] -= w
@@ -343,18 +361,36 @@ func (r *Router) forgetJobLocked(id string) float64 {
 // needs the broadcast: its local weight and W moved together, so its
 // external weight W − W_dirty is unchanged — only the other shards'
 // floors shifted. Fast path: nothing to do for AMF (no weight-sum
-// coupling), a single-shard cluster, or ΔW = 0.
+// coupling), a single-shard cluster, or ΔW = 0 — except that a shard a
+// failed send left stale is re-sent on every reconcile, fast path
+// included, until a send succeeds.
 func (r *Router) reconcileLocked(ctx context.Context, dirty int, delta float64) error {
-	if !r.enhanced || len(r.shards) == 1 || delta == 0 {
+	if !r.enhanced || len(r.shards) == 1 {
 		r.fastPathSkips.Add(1)
 		return nil
+	}
+	if delta == 0 {
+		r.fastPathSkips.Add(1)
+		if len(r.stale) == 0 {
+			return nil
+		}
+		return r.broadcastLocked(ctx, func(i int) bool { return r.stale[i] })
 	}
 	start := time.Now()
 	defer func() { r.observeFanout("weight_broadcast", start) }()
 	r.broadcastVersion.Add(1)
+	return r.broadcastLocked(ctx, func(i int) bool { return i != dirty || r.stale[i] })
+}
+
+// broadcastLocked installs W − W_i as the external weight of every shard
+// i that send selects and returns the first failure. A failed send marks
+// the shard stale and a successful one clears the mark; the mutation
+// that triggered the broadcast has already committed either way.
+func (r *Router) broadcastLocked(ctx context.Context, send func(i int) bool) error {
 	var firstErr error
+	staleBefore := len(r.stale)
 	for i, sh := range r.shards {
-		if i == dirty {
+		if !send(i) {
 			continue
 		}
 		ext := r.weightSum - r.shardWt[i]
@@ -363,18 +399,26 @@ func (r *Router) reconcileLocked(ctx context.Context, dirty int, delta float64) 
 			// scheduler would reject.
 			ext = 0
 		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil {
+		err := sh.SetExternalWeight(ctx, ext)
+		r.broadcasts.Add(1)
+		if err != nil {
 			r.countShardError(i)
+			r.stale[i] = true
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
 			}
+		} else {
+			delete(r.stale, i)
 		}
-		r.broadcasts.Add(1)
 	}
-	// A failed broadcast leaves that shard's floors stale until the next
-	// reconcile; the mutation itself already committed on the dirty shard.
+	if r.reg != nil && len(r.stale) != staleBefore {
+		r.reg.Gauge("cluster.stale_shards").Set(float64(len(r.stale)))
+	}
 	return firstErr
 }
+
+// sendAll selects every shard for a full broadcast.
+func sendAll(int) bool { return true }
 
 // AddJob routes and registers one job.
 func (r *Router) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) (err error) {
@@ -539,14 +583,14 @@ func (r *Router) ReportProgress(ctx context.Context, id string, done []float64) 
 		r.countShardError(shard)
 		return false, err
 	}
+	delta := 0.0
 	if completed {
-		delta := r.forgetJobLocked(id)
-		t0 = time.Now()
-		err = r.reconcileLocked(ctx, shard, delta)
-		mark(tb, "weight_broadcast", t0)
-		return true, err
+		delta = r.forgetJobLocked(id)
 	}
-	return false, nil
+	t0 = time.Now()
+	err = r.reconcileLocked(ctx, shard, delta)
+	mark(tb, "weight_broadcast", t0)
+	return completed, err
 }
 
 // UpdateWeight routes a weight change.
@@ -577,11 +621,18 @@ func (r *Router) UpdateWeight(ctx context.Context, id string, weight float64) (e
 	return err
 }
 
+// shardOf looks a job's shard up for the read path, without the
+// mutation lock.
+func (r *Router) shardOf(id string) (int, bool) {
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	shard, ok := r.jobShard[id]
+	return shard, ok
+}
+
 // Shares routes a single-job read to its shard.
 func (r *Router) Shares(ctx context.Context, id string) ([]float64, error) {
-	r.mu.Lock()
-	shard, ok := r.jobShard[id]
-	r.mu.Unlock()
+	shard, ok := r.shardOf(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, id)
 	}
@@ -626,16 +677,14 @@ func (r *Router) Allocation(ctx context.Context) (map[string][]float64, error) {
 }
 
 // Explain routes the explainability question to the job's owning shard
-// (api.Explainer) and labels the answer with that shard's index. Full
-// dumps (job "") are refused: an Explanation's job and site indexes are
-// shard-local, so a merged dump would be incoherent.
+// and labels the answer with that shard's index. Full dumps (job "") are
+// refused: an Explanation's job and site indexes are shard-local, so a
+// merged dump would be incoherent.
 func (r *Router) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
 	if job == "" {
 		return nil, ErrExplainNeedsJob
 	}
-	r.mu.Lock()
-	shard, ok := r.jobShard[job]
-	r.mu.Unlock()
+	shard, ok := r.shardOf(job)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, job)
 	}
@@ -662,7 +711,7 @@ func (r *Router) VersionVector() []uint64 {
 
 // SnapshotVersion flattens the version vector into one scalar (the sum):
 // each component is non-decreasing, so the sum is a monotonic cluster
-// version suitable for api.Versioned.
+// version.
 func (r *Router) SnapshotVersion() uint64 {
 	var sum uint64
 	for _, v := range r.VersionVector() {
@@ -901,8 +950,8 @@ func (r *Router) WriteFederatedMetrics(ctx context.Context, w io.Writer) error {
 	return obs.WriteFederated(w, pages)
 }
 
-// ReadyErr reports the first unready shard (api.ReadyChecker): the
-// cluster can take mutations only when every shard can.
+// ReadyErr reports the first unready shard: the cluster can take
+// mutations only when every shard can.
 func (r *Router) ReadyErr() error {
 	ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
 	defer cancel()
@@ -974,7 +1023,10 @@ func (r *Router) SyncFromShards(ctx context.Context) error {
 		}
 	}
 	r.siteOwner, r.siteRef = siteOwner, siteRef
-	r.jobShard, r.jobSites, r.jobWeight = jobShard, jobSites, jobWeight
+	r.routeMu.Lock()
+	r.jobShard = jobShard
+	r.routeMu.Unlock()
+	r.jobSites, r.jobWeight = jobSites, jobWeight
 	r.shardWt, r.weightSum = shardWt, weightSum
 	if !r.enhanced {
 		return nil
@@ -983,22 +1035,11 @@ func (r *Router) SyncFromShards(ctx context.Context) error {
 	// restarted shard may hold a stale external weight the ΔW fast path
 	// would never repair.
 	r.broadcastVersion.Add(1)
-	var firstErr error
-	for i, sh := range r.shards {
-		ext := weightSum - shardWt[i]
-		if ext < 0 {
-			ext = 0
-		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
-		}
-		r.broadcasts.Add(1)
-	}
-	return firstErr
+	return r.broadcastLocked(ctx, sendAll)
 }
 
 // RuntimeConfig merges the shards' runtime-tuning documents into the
-// cluster's (api.ConfigPatcher read side). Every shard must report the
+// cluster's (GET /v1/config). Every shard must report the
 // identical document — a divergent shard fails the read with
 // ErrConfigMismatch rather than silently picking a winner, mirroring the
 // mixed-policy refusal.
@@ -1022,7 +1063,7 @@ func (r *Router) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, er
 }
 
 // ApplyConfig rolls one runtime-tuning patch across every shard
-// (api.ConfigPatcher write side). It refuses to start from a mixed
+// (PATCH /v1/config). It refuses to start from a mixed
 // cluster — the shards must already agree on the fairness policy
 // (ErrPolicyMismatch), same as assembly — and then applies the patch
 // shard by shard under the router's mutation lock; the first failure
@@ -1057,7 +1098,8 @@ func (r *Router) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 		return nil
 	}
 	wasEnhanced := r.enhanced
-	r.polName = newPol.Name()
+	name := newPol.Name()
+	r.polName.Store(&name)
 	r.enhanced = newPol.Capabilities().GlobalWeightFloors
 	if !r.enhanced || wasEnhanced {
 		// Shards joining (or staying on) a floor-free policy ignore their
@@ -1068,16 +1110,5 @@ func (r *Router) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 	// Floor coupling just switched on: every shard needs its external
 	// weight installed before the floors mean anything.
 	r.broadcastVersion.Add(1)
-	var firstErr error
-	for i, sh := range r.shards {
-		ext := r.weightSum - r.shardWt[i]
-		if ext < 0 {
-			ext = 0
-		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
-		}
-		r.broadcasts.Add(1)
-	}
-	return firstErr
+	return r.broadcastLocked(ctx, sendAll)
 }

@@ -25,11 +25,9 @@ import (
 	"repro/internal/serve"
 )
 
-// The router is itself an api.Backend with the unified config surface
-// and the explainability surface; replicas explain their replayed view.
-var _ api.ConfigPatcher = (*Router)(nil)
-var _ api.Explainer = (*Router)(nil)
-var _ api.Explainer = (*Replica)(nil)
+// The router and read replicas are API backends like the engine.
+var _ api.Backend = (*Router)(nil)
+var _ api.Backend = (*Replica)(nil)
 
 // Shard is the router's view of one engine shard: the mutation and read
 // surface it fans out to, plus the cluster-specific hooks (external

@@ -59,7 +59,6 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/wal"
 )
@@ -1107,47 +1106,9 @@ func (e *Engine) SetExternalWeight(ctx context.Context, w float64) error {
 		})
 }
 
-// SetApproxConfig retunes the solver's approximate water-filling knobs
-// (scheduler.SetApproxConfig). The change is group-committed like any
-// mutation — the re-solve it forces lands in an ordinary batch — but it
-// is not WAL logged: the knobs are process-local performance settings
-// that flags re-establish on restart, and every allocation they produce
-// stays within the configured epsilon of the exact solution.
-func (e *Engine) SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error {
-	return e.submit(ctx, false, nil,
-		func(sc *scheduler.Scheduler) error {
-			return sc.SetApproxConfig(epsilon, threshold)
-		})
-}
-
-// ApproxConfig reports the solver's current approximation knobs.
-func (e *Engine) ApproxConfig() (epsilon float64, threshold int) {
-	return e.sc.ApproxConfig()
-}
-
 // PolicyName reports the wire name of the controller's active fairness
 // policy.
 func (e *Engine) PolicyName() string { return e.sc.PolicyName() }
-
-// SetPolicy switches the controller's fairness policy by wire name
-// (policy.Names lists the valid ones). Like Restore, the switch is
-// exclusive — the committer quiesces the batch pipeline and commits it
-// alone, so every other commit is solved entirely under one policy — and
-// it is WAL logged, so recovery replays the switch at the same point in
-// the mutation order. Switching to the already-active policy is a no-op
-// that still publishes a snapshot.
-func (e *Engine) SetPolicy(ctx context.Context, name string) error {
-	// Validate before submitting: an unknown name should fail fast at the
-	// API edge, not poison a WAL record.
-	if _, err := policy.ForName(name); err != nil {
-		return err
-	}
-	return e.submit(ctx, true,
-		&wal.Mutation{Op: wal.OpSetPolicy, Policy: name},
-		func(sc *scheduler.Scheduler) error {
-			return sc.SetPolicyName(name)
-		})
-}
 
 // RuntimeConfig reports the controller's runtime-tuning document:
 // policy, approximate-solver routing, phase-reconciliation knobs. The
@@ -1161,9 +1122,11 @@ func (e *Engine) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, er
 	return e.sc.RuntimeConfig(), nil
 }
 
-// ApplyConfig applies one runtime-tuning patch (PATCH /v1/config). Like
-// SetPolicy it is exclusive — the batch pipeline quiesces, outstanding
-// phase deltas reconcile, and the patch commits alone — and WAL-logged
+// ApplyConfig applies one runtime-tuning patch (PATCH /v1/config) — the
+// only runtime switch for the fairness policy and the solver knobs. Like
+// Restore it is exclusive — the batch pipeline quiesces, outstanding
+// phase deltas reconcile, and the patch commits alone, so every other
+// commit is solved entirely under one policy — and WAL-logged
 // (OpSetConfig), so recovery replays the tuning change at the same point
 // in the mutation order and compaction persists the result. The patch is
 // validated against the current state before it is enqueued, so an

@@ -134,8 +134,8 @@ func (e *Engine) phaseAbsorb(o *op) bool {
 		return false
 	}
 	if o.rec == nil {
-		// Unlogged mutation (SetApproxConfig, snapshot barriers): not
-		// classifiable, so quiesce everything and let it apply ordered.
+		// Unlogged mutation (snapshot barriers): not classifiable, so
+		// quiesce everything and let it apply ordered.
 		if p.buffered > 0 {
 			e.phaseFlush(true)
 		}
@@ -158,7 +158,7 @@ func (e *Engine) phaseAbsorb(o *op) bool {
 		for _, js := range o.rec.Jobs {
 			e.flushSites(js.Demand)
 		}
-	case wal.OpAddQueue, wal.OpExternalWeight, wal.OpSetPolicy, wal.OpSetConfig, wal.OpRestore:
+	case wal.OpAddQueue, wal.OpExternalWeight, wal.OpSetConfig, wal.OpRestore:
 		// Global topology/regime changes: reconcile everything first.
 		if p.buffered > 0 {
 			e.phaseFlush(true)

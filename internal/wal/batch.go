@@ -24,11 +24,10 @@ const (
 	// the shard solved under without talking to the router.
 	OpExternalWeight = "external_weight"
 	// OpSetPolicy switches the active fairness policy
-	// (scheduler.SetPolicyName). Logging it makes a runtime policy switch
-	// survive recovery: replay re-runs the switch at the same point in the
-	// mutation order, so post-switch mutations are re-solved under the
-	// policy they were committed under. (Snapshots additionally carry the
-	// policy as a header, and Restore refuses a mismatch.)
+	// (scheduler.SetPolicyName). It is replay-only: the engine logs every
+	// runtime policy switch as an OpSetConfig patch, and this op stays
+	// decodable so logs that carry it still recover — replay re-runs the
+	// switch at the same point in the mutation order.
 	OpSetPolicy = "set_policy"
 	// OpSetConfig applies one PATCH /v1/config runtime-tuning patch
 	// (scheduler.ApplyConfigPatch): policy, approximate-solver routing and
