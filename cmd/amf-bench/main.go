@@ -32,15 +32,6 @@
 //	amf-bench -churn -churn-mutations 2048 -churn-out BENCH_incremental.json
 //	amf-bench -churn -zipf 1.2        # skew churn onto a few hot components
 //
-// A contention mode replays a zipf-contended churn stream — component
-// sizes and mutation popularity both skewed, so one giant component
-// absorbs most commits — through the exact ordered path and through
-// Doppel-style phase reconciliation, comparing acknowledged per-commit
-// latency:
-//
-//	amf-bench -contention
-//	amf-bench -contention -contention-skew 1.2 -contention-out BENCH_contention.json
-//
 // A cluster mode measures read-throughput scaling with WAL-shipped read
 // replicas: a durable primary under sustained churn ships its log to N
 // replicas and each endpoint's saturated HTTP read rate is measured in
@@ -122,15 +113,6 @@ func main() {
 		walWindow   = flag.Duration("wal-window", time.Millisecond, "BatchWindow for both configurations")
 		walDir      = flag.String("wal-dir", "", "WAL directory for the durable pass (default: fresh temp dir)")
 		walOut      = flag.String("wal-out", "", "write machine-readable results to this JSON file (e.g. BENCH_wal.json)")
-
-		contMode      = flag.Bool("contention", false, "run the phase-reconciliation benchmark (per-commit latency on zipf-contended churn, ordered vs phase-reconciled)")
-		contComps     = flag.Int("contention-components", 8, "independent components (sizes zipf-split)")
-		contJobs      = flag.Int("contention-jobs", 512, "total base jobs, split across components by the skew law")
-		contSites     = flag.Int("contention-sites", 4, "sites per component")
-		contMutations = flag.Int("contention-mutations", 4096, "mutations replayed per configuration")
-		contSkew      = flag.Float64("contention-skew", 1.1, "Zipf exponent for component sizes and mutation popularity")
-		contHot       = flag.Float64("contention-hot-threshold", 0.5, "phase classifier hot threshold for the phase-reconciled pass")
-		contOut       = flag.String("contention-out", "", "write machine-readable results to this JSON file (e.g. BENCH_contention.json)")
 
 		churnMode      = flag.Bool("churn", false, "run the incremental-churn benchmark (per-commit latency, incremental vs full re-solve)")
 		churnComps     = flag.Int("churn-components", 64, "independent components in the sparse instance")
@@ -253,23 +235,6 @@ func main() {
 			seed:       *seed,
 			policies:   *polNames,
 			out:        *polOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *contMode {
-		if err := runContention(contentionOptions{
-			components:   *contComps,
-			jobs:         *contJobs,
-			sites:        *contSites,
-			mutations:    *contMutations,
-			skew:         *contSkew,
-			hotThreshold: *contHot,
-			seed:         *seed,
-			out:          *contOut,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "amf-bench:", err)
 			os.Exit(1)

@@ -71,9 +71,6 @@ type serverConfig struct {
 	// reads, so its allocation must track the primary byte-for-byte.
 	approxEps    float64
 	approxThresh int
-	// Phase-reconciliation boot knobs (PATCH /v1/config retunes them at
-	// runtime). Replicas inherit whatever the primary's WAL dictates.
-	phase scheduler.PhaseConfig
 }
 
 // shardParts bundles one assembled shard engine with the observability
@@ -95,7 +92,6 @@ func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir 
 		Policy:          p,
 		ApproxEpsilon:   cfg.approxEps,
 		ApproxThreshold: cfg.approxThresh,
-		Phase:           cfg.phase,
 	})
 	if err != nil {
 		return shardParts{}, err

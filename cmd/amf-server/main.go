@@ -111,10 +111,6 @@ func main() {
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		approxEps     = flag.Float64("approx-epsilon", 0, "approximate water-filling deviation budget as a fraction of instance scale (0 = always exact)")
 		approxThresh  = flag.Int("approx-threshold", 0, "component size (jobs + demand edges) above which the approximate solver engages (0 = never)")
-		phaseHot      = flag.Float64("phase-hot-threshold", 0, "dirty-hit fraction above which a component is classified hot and its commutative mutations buffer until a phase boundary (0 disables phase reconciliation)")
-		phaseBatches  = flag.Int("phase-max-batches", 0, "buffered batches per phase before a forced reconcile (0 = default)")
-		phaseInterval = flag.Int("phase-max-interval-ms", 0, "max age in ms of a buffered delta before a forced reconcile (0 = default)")
-		phaseWindow   = flag.Int("phase-window", 0, "sliding window of commits the hot/cold classifier scores over (0 = default)")
 	)
 	flag.Parse()
 
@@ -143,15 +139,6 @@ func main() {
 		fatal(logger, "amf-server: bad -approx-threshold",
 			fmt.Errorf("must be non-negative, got %d", *approxThresh))
 	}
-	phase := scheduler.PhaseConfig{
-		HotThreshold:  *phaseHot,
-		MaxBatches:    *phaseBatches,
-		MaxIntervalMS: *phaseInterval,
-		Window:        *phaseWindow,
-	}
-	if err := phase.Validate(); err != nil {
-		fatal(logger, "amf-server: bad phase flags", err)
-	}
 	cfg := serverConfig{
 		listen:       *listen,
 		shipAddr:     *shipAddr,
@@ -167,7 +154,6 @@ func main() {
 		interval:     *replicaIval,
 		approxEps:    *approxEps,
 		approxThresh: *approxThresh,
-		phase:        phase,
 	}
 
 	// The listener comes up before any WAL replay or replica sync: until
@@ -242,7 +228,6 @@ func runSingle(logger *slog.Logger, caps []float64, p policy.Policy, state strin
 		Policy:          p,
 		ApproxEpsilon:   cfg.approxEps,
 		ApproxThreshold: cfg.approxThresh,
-		Phase:           cfg.phase,
 	})
 	if err != nil {
 		return nil, nil, err

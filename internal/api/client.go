@@ -168,7 +168,7 @@ func (c *Client) Policy(ctx context.Context) (PolicyResponse, error) {
 }
 
 // Config fetches the runtime-tuning document (site capacities, policy,
-// solver and phase-reconciliation knobs).
+// solver knobs).
 func (c *Client) Config(ctx context.Context) (ConfigResponse, error) {
 	var out ConfigResponse
 	err := c.do(ctx, http.MethodGet, "/v1/config", nil, &out)

@@ -2,16 +2,13 @@ package api
 
 // The runtime-tuning surface: GET/PATCH /v1/config.
 //
-// Every runtime knob — the fairness policy, the approximate-solver
-// routing and the phase-reconciliation knobs — is readable and patchable
-// through one document:
+// Every runtime knob — the fairness policy and the approximate-solver
+// routing — is readable and patchable through one document:
 //
 //	{
 //	  "site_capacity": [...],            // immutable, echoed on GET
 //	  "policy": "amf",
-//	  "solver": {"approx_epsilon": 0.01, "approx_threshold": 4096},
-//	  "phase":  {"hot_threshold": 0.5, "max_batches": 8,
-//	             "max_interval_ms": 10, "window": 32}
+//	  "solver": {"approx_epsilon": 0.01, "approx_threshold": 4096}
 //	}
 //
 // PATCH takes the same nesting with every field optional; absent fields
@@ -19,15 +16,19 @@ package api
 // rejected as a whole (nothing is applied) with 400 invalid_argument and
 // a "fields" list naming every offending field by its JSON path together
 // with a stable per-field code — clients fix all of them in one round
-// trip. A valid patch is applied atomically; on the serving engine it
-// rides an exclusive group commit and is WAL-logged (OpSetConfig), so it
-// survives crash recovery and replicates to followers. A read replica
-// serves the document and rejects every patch as read-only.
+// trip. A field the document does not have is rejected the same way
+// (code unknown_field) rather than silently ignored. A valid patch is
+// applied atomically; on the serving engine it rides an exclusive group
+// commit and is WAL-logged (OpSetConfig), so it survives crash recovery
+// and replicates to followers. A read replica serves the document and
+// rejects every patch as read-only.
 
 import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"repro/internal/policy"
 	"repro/internal/scheduler"
@@ -50,22 +51,11 @@ type SolverPatchSection struct {
 	ApproxThreshold *int     `json:"approx_threshold,omitempty"`
 }
 
-// PhasePatchSection is the phase block of a PATCH /v1/config body; nil
-// fields keep their current values. The document (GET) side reuses
-// scheduler.PhaseConfig directly.
-type PhasePatchSection struct {
-	HotThreshold  *float64 `json:"hot_threshold,omitempty"`
-	MaxBatches    *int     `json:"max_batches,omitempty"`
-	MaxIntervalMS *int     `json:"max_interval_ms,omitempty"`
-	Window        *int     `json:"window,omitempty"`
-}
-
 // ConfigPatchRequest is the PATCH /v1/config wire form: the config
 // document's nesting with every field optional.
 type ConfigPatchRequest struct {
 	Policy *string             `json:"policy,omitempty"`
 	Solver *SolverPatchSection `json:"solver,omitempty"`
-	Phase  *PhasePatchSection  `json:"phase,omitempty"`
 }
 
 // Stable per-field validation codes, carried in FieldError.Code. The
@@ -76,10 +66,13 @@ const (
 	// policy.
 	FieldCodeUnknownPolicy = "unknown_policy"
 	// FieldCodeOutOfRange: the value violates its documented range (e.g. a
-	// negative threshold, a hot threshold outside [0, 1]).
+	// negative threshold).
 	FieldCodeOutOfRange = "out_of_range"
 	// FieldCodeNotFinite: the value must be a finite number.
 	FieldCodeNotFinite = "not_finite"
+	// FieldCodeUnknownField: the patch names a field the document does not
+	// have (a typo, or a knob this build no longer carries).
+	FieldCodeUnknownField = "unknown_field"
 )
 
 // FieldError names one offending field of a rejected config patch by its
@@ -124,25 +117,6 @@ func (r ConfigPatchRequest) validate() []FieldError {
 			bad("solver.approx_threshold", FieldCodeOutOfRange, "threshold must be non-negative")
 		}
 	}
-	if p := r.Phase; p != nil {
-		if p.HotThreshold != nil {
-			switch ht := *p.HotThreshold; {
-			case math.IsNaN(ht) || math.IsInf(ht, 0):
-				bad("phase.hot_threshold", FieldCodeNotFinite, "hot threshold must be a finite fraction in [0, 1]")
-			case ht < 0 || ht > 1:
-				bad("phase.hot_threshold", FieldCodeOutOfRange, "hot threshold must be a fraction in [0, 1]")
-			}
-		}
-		if p.MaxBatches != nil && *p.MaxBatches < 0 {
-			bad("phase.max_batches", FieldCodeOutOfRange, "max batches must be non-negative")
-		}
-		if p.MaxIntervalMS != nil && *p.MaxIntervalMS < 0 {
-			bad("phase.max_interval_ms", FieldCodeOutOfRange, "max interval must be non-negative")
-		}
-		if p.Window != nil && *p.Window < 0 {
-			bad("phase.window", FieldCodeOutOfRange, "classifier window must be non-negative")
-		}
-	}
 	return fe
 }
 
@@ -152,12 +126,6 @@ func (r ConfigPatchRequest) Patch() scheduler.ConfigPatch {
 	if s := r.Solver; s != nil {
 		p.ApproxEpsilon = s.ApproxEpsilon
 		p.ApproxThreshold = s.ApproxThreshold
-	}
-	if ph := r.Phase; ph != nil {
-		p.HotThreshold = ph.HotThreshold
-		p.MaxBatches = ph.MaxBatches
-		p.MaxIntervalMS = ph.MaxIntervalMS
-		p.Window = ph.Window
 	}
 	return p
 }
@@ -173,14 +141,6 @@ func NewConfigPatchRequest(p scheduler.ConfigPatch) ConfigPatchRequest {
 			ApproxThreshold: p.ApproxThreshold,
 		}
 	}
-	if p.HotThreshold != nil || p.MaxBatches != nil || p.MaxIntervalMS != nil || p.Window != nil {
-		r.Phase = &PhasePatchSection{
-			HotThreshold:  p.HotThreshold,
-			MaxBatches:    p.MaxBatches,
-			MaxIntervalMS: p.MaxIntervalMS,
-			Window:        p.Window,
-		}
-	}
 	return r
 }
 
@@ -191,7 +151,6 @@ func (c ConfigResponse) RuntimeConfig() scheduler.RuntimeConfig {
 		Policy:          c.Policy,
 		ApproxEpsilon:   c.Solver.ApproxEpsilon,
 		ApproxThreshold: c.Solver.ApproxThreshold,
-		Phase:           c.Phase,
 	}
 }
 
@@ -210,7 +169,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 			ApproxEpsilon:   rc.ApproxEpsilon,
 			ApproxThreshold: rc.ApproxThreshold,
 		},
-		Phase: rc.Phase,
 	})
 }
 
@@ -220,16 +178,22 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 // document. An empty patch is a no-op that returns the current document.
 func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 	var req ConfigPatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		// encoding/json reports an unknown field only as text; anything
+		// else is a plain malformed body.
+		if q, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+			if name, uerr := strconv.Unquote(q); uerr == nil {
+				writeFieldErrors(w, []FieldError{{Field: name, Error: "no such config field", Code: FieldCodeUnknownField}})
+				return
+			}
+		}
 		writeError(w, err)
 		return
 	}
 	if fields := req.validate(); len(fields) > 0 {
-		writeJSON(w, http.StatusBadRequest, ConfigPatchError{
-			errorResponse: errorResponse{
-				Error: "config patch failed validation", Code: CodeInvalidArgument},
-			Fields: fields,
-		})
+		writeFieldErrors(w, fields)
 		return
 	}
 	if patch := req.Patch(); !patch.Empty() {
@@ -239,4 +203,12 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.handleConfig(w, r)
+}
+
+func writeFieldErrors(w http.ResponseWriter, fields []FieldError) {
+	writeJSON(w, http.StatusBadRequest, ConfigPatchError{
+		errorResponse: errorResponse{
+			Error: "config patch failed validation", Code: CodeInvalidArgument},
+		Fields: fields,
+	})
 }

@@ -25,12 +25,6 @@ func TestConfigPatchRoundTrip(t *testing.T) {
 			ApproxEpsilon:   ptr(0.02),
 			ApproxThreshold: ptr(5000),
 		},
-		Phase: &PhasePatchSection{
-			HotThreshold:  ptr(0.4),
-			MaxBatches:    ptr(16),
-			MaxIntervalMS: ptr(25),
-			Window:        ptr(64),
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +34,6 @@ func TestConfigPatchRoundTrip(t *testing.T) {
 	}
 	if doc.Solver.ApproxEpsilon != 0.02 || doc.Solver.ApproxThreshold != 5000 {
 		t.Fatalf("patched solver section %+v", doc.Solver)
-	}
-	if doc.Phase.HotThreshold != 0.4 || doc.Phase.MaxBatches != 16 ||
-		doc.Phase.MaxIntervalMS != 25 || doc.Phase.Window != 64 {
-		t.Fatalf("patched phase section %+v", doc.Phase)
 	}
 
 	// GET serves the same document.
@@ -63,23 +53,19 @@ func TestConfigPatchRoundTrip(t *testing.T) {
 	if rc.Policy != "amf-enhanced" || rc.ApproxEpsilon != 0.02 || rc.ApproxThreshold != 5000 {
 		t.Fatalf("scheduler runtime config %+v", rc)
 	}
-	if rc.Phase.HotThreshold != 0.4 || rc.Phase.MaxBatches != 16 ||
-		rc.Phase.MaxIntervalMS != 25 || rc.Phase.Window != 64 {
-		t.Fatalf("scheduler phase config %+v", rc.Phase)
-	}
 
 	// Partial patch: one field changes, everything else sticks.
 	doc, err = c.SetConfig(ctx, ConfigPatchRequest{
-		Phase: &PhasePatchSection{HotThreshold: ptr(0.0)},
+		Solver: &SolverPatchSection{ApproxThreshold: ptr(0)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Phase.HotThreshold != 0 || doc.Phase.MaxBatches != 16 {
-		t.Fatalf("partial patch clobbered untouched fields: %+v", doc.Phase)
+	if doc.Solver.ApproxThreshold != 0 || doc.Solver.ApproxEpsilon != 0.02 {
+		t.Fatalf("partial patch clobbered untouched fields: %+v", doc.Solver)
 	}
-	if doc.Policy != "amf-enhanced" || doc.Solver.ApproxEpsilon != 0.02 {
-		t.Fatalf("partial patch clobbered other sections: policy %q solver %+v", doc.Policy, doc.Solver)
+	if doc.Policy != "amf-enhanced" {
+		t.Fatalf("partial patch clobbered the policy: %q", doc.Policy)
 	}
 }
 
@@ -113,10 +99,6 @@ func TestConfigPatchFieldErrors(t *testing.T) {
 			ApproxEpsilon:   ptr(-0.5),  // negative
 			ApproxThreshold: ptr(10000), // valid — must still not apply
 		},
-		Phase: &PhasePatchSection{
-			HotThreshold: ptr(1.5), // out of [0, 1]
-			MaxBatches:   ptr(-1),  // negative
-		},
 	})
 	if !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("error = %v, want invalid_argument", err)
@@ -127,8 +109,6 @@ func TestConfigPatchFieldErrors(t *testing.T) {
 	want := map[string]string{
 		"policy":                FieldCodeUnknownPolicy,
 		"solver.approx_epsilon": FieldCodeOutOfRange,
-		"phase.hot_threshold":   FieldCodeOutOfRange,
-		"phase.max_batches":     FieldCodeOutOfRange,
 	}
 	got := map[string]string{}
 	for _, f := range fields.Fields {
@@ -154,7 +134,7 @@ func TestConfigPatchRejectsNonFinite(t *testing.T) {
 	_, srv := newDirectServer(t)
 	for _, body := range []string{
 		`{"solver": {"approx_epsilon": 1e999}}`,
-		`{"phase": {"hot_threshold": NaN}}`,
+		`{"solver": {"approx_epsilon": NaN}}`,
 	} {
 		req := httptest.NewRequest(http.MethodPatch, "/v1/config", strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -171,71 +151,54 @@ func TestConfigPatchEngineBacked(t *testing.T) {
 	c, eng := newEngineTestServer(t)
 	ctx := context.Background()
 	doc, err := c.SetConfig(ctx, ConfigPatchRequest{
-		Phase: &PhasePatchSection{HotThreshold: ptr(0.5), Window: ptr(16)},
+		Solver: &SolverPatchSection{ApproxEpsilon: ptr(0.05), ApproxThreshold: ptr(16)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Phase.HotThreshold != 0.5 || doc.Phase.Window != 16 {
-		t.Fatalf("engine-backed patch response %+v", doc.Phase)
+	if doc.Solver.ApproxEpsilon != 0.05 || doc.Solver.ApproxThreshold != 16 {
+		t.Fatalf("engine-backed patch response %+v", doc.Solver)
 	}
 	rc, err := eng.RuntimeConfig(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Phase.HotThreshold != 0.5 || rc.Phase.Window != 16 {
-		t.Fatalf("engine runtime config %+v", rc.Phase)
+	if rc.ApproxEpsilon != 0.05 || rc.ApproxThreshold != 16 {
+		t.Fatalf("engine runtime config %+v", rc)
 	}
 }
 
-// TestAllocationCarriesPhaseLag tunes phase reconciliation on over
-// PATCH /v1/config, heats a component with repeated weight updates, and
-// checks GET /v1/allocation reports the resulting lag — then that a
-// snapshot barrier drains it back to zero.
-func TestAllocationCarriesPhaseLag(t *testing.T) {
-	c, eng := newEngineTestServer(t)
-	ctx := context.Background()
-
-	if _, err := c.SetConfig(ctx, ConfigPatchRequest{
-		Phase: &PhasePatchSection{
-			HotThreshold:  ptr(0.3),
-			MaxBatches:    ptr(1000),
-			MaxIntervalMS: ptr(600000),
-			Window:        ptr(4),
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddJob(ctx, AddJobRequest{ID: "h1", Demand: []float64{1, 1}, Work: []float64{1e6, 1e6}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddJob(ctx, AddJobRequest{ID: "h2", Demand: []float64{1, 0}, Work: []float64{1e6, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := c.UpdateWeight(ctx, "h1", 1+float64(i%3)); err != nil {
+// TestConfigPatchRejectsUnknownFields checks that a patch naming a field
+// the document does not have — a typo, or a knob this build no longer
+// carries — is refused with the offending name instead of answering 200
+// and applying nothing.
+func TestConfigPatchRejectsUnknownFields(t *testing.T) {
+	sc, srv := newDirectServer(t)
+	before := sc.RuntimeConfig()
+	for _, tc := range []struct{ body, field string }{
+		{`{"polcy": "drf"}`, "polcy"},
+		{`{"policy": "drf", "phase": {"window": 16}}`, "phase"},
+		{`{"solver": {"approx_epsilon": 0.1, "approx_epsilonn": 0.2}}`, "approx_epsilonn"},
+	} {
+		req := httptest.NewRequest(http.MethodPatch, "/v1/config", strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", tc.body, rec.Code)
+		}
+		var resp ConfigPatchError
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
+		if resp.Code != CodeInvalidArgument || len(resp.Fields) != 1 ||
+			resp.Fields[0].Field != tc.field || resp.Fields[0].Code != FieldCodeUnknownField {
+			t.Fatalf("body %s: response %s, want field %q with code %q",
+				tc.body, rec.Body.String(), tc.field, FieldCodeUnknownField)
+		}
 	}
-	alloc, err := c.Allocation(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if sc.RuntimeConfig() != before {
+		t.Fatalf("rejected patch mutated config: %+v -> %+v", before, sc.RuntimeConfig())
 	}
-	if alloc.PhaseLag == 0 || alloc.HotComponents == 0 {
-		t.Fatalf("allocation phase_lag = %d, hot_components = %d; want both > 0",
-			alloc.PhaseLag, alloc.HotComponents)
-	}
-	// Snapshot is a barrier: afterwards reads are exact again.
-	if _, err := c.Snapshot(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if alloc, err = c.Allocation(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if alloc.PhaseLag != 0 {
-		t.Fatalf("phase_lag after snapshot barrier = %d, want 0", alloc.PhaseLag)
-	}
-	_ = eng
 }
 
 // TestConfigDocumentWireShape pins the JSON nesting of the document so
@@ -252,9 +215,12 @@ func TestConfigDocumentWireShape(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"site_capacity", "policy", "solver", "phase"} {
+	for _, key := range []string{"site_capacity", "policy", "solver"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("document lacks %q: %s", key, rec.Body.String())
 		}
+	}
+	if len(doc) != 3 {
+		t.Errorf("document has %d fields, want 3: %s", len(doc), rec.Body.String())
 	}
 }

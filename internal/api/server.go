@@ -16,8 +16,7 @@
 //	                                   load balancers health-check THIS,
 //	                                   not /v1/healthz.
 //	GET    /v1/config                  the runtime-tuning document: site
-//	                                   capacities, policy, solver and
-//	                                   phase-reconciliation knobs
+//	                                   capacities, policy, solver knobs
 //	PATCH  /v1/config                  apply a partial runtime-tuning
 //	                                   update: validated in full with
 //	                                   per-field error codes, applied
@@ -148,18 +147,8 @@ type ExternalWeighter interface {
 	SetExternalWeight(ctx context.Context, w float64) error
 }
 
-// PhaseReporter is the optional phase-reconciliation read surface:
-// PhaseInfo returns the count of acknowledged commutative mutations
-// buffered against hot components and not yet folded into the published
-// allocation (0 = the allocation is exact), plus the classifier's
-// current hot-set size. GET /v1/allocation carries both.
-type PhaseReporter interface {
-	PhaseInfo() (phaseLag, hotComponents int)
-}
-
 var _ Backend = (*serve.Engine)(nil)
 var _ ExternalWeighter = (*serve.Engine)(nil)
-var _ PhaseReporter = (*serve.Engine)(nil)
 
 // AddJobRequest registers a job. Queue, when set, must name a queue
 // previously declared via POST /v1/queues.
@@ -233,23 +222,15 @@ type AllocationResponse struct {
 	// Policy is the wire name of the fairness policy the allocation was
 	// solved under.
 	Policy string `json:"policy,omitempty"`
-	// PhaseLag counts acknowledged commutative mutations buffered against
-	// hot components and not yet folded into this allocation (see
-	// PhaseReporter). 0 means the allocation is exact.
-	PhaseLag int `json:"phase_lag,omitempty"`
-	// HotComponents is the phase classifier's hot-set size at publish
-	// time.
-	HotComponents int `json:"hot_components,omitempty"`
 }
 
 // ConfigResponse is the GET /v1/config (and PATCH /v1/config response)
 // document: the controller's immutable site capacities plus the full
 // runtime-tuning state.
 type ConfigResponse struct {
-	SiteCapacity []float64             `json:"site_capacity"`
-	Policy       string                `json:"policy"`
-	Solver       SolverConfigSection   `json:"solver"`
-	Phase        scheduler.PhaseConfig `json:"phase"`
+	SiteCapacity []float64           `json:"site_capacity"`
+	Policy       string              `json:"policy"`
+	Solver       SolverConfigSection `json:"solver"`
 }
 
 // StatsResponse mirrors scheduler.Stats, plus the active policy name.
@@ -656,9 +637,6 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	// Read after the allocation: the version is at or after the map, so a
 	// reader polling for "version >= X" never sees stale data.
 	resp.Version = s.sc.SnapshotVersion()
-	if pr, ok := s.sc.(PhaseReporter); ok {
-		resp.PhaseLag, resp.HotComponents = pr.PhaseInfo()
-	}
 	resp.Policy = s.sc.PolicyName()
 	writeJSON(w, http.StatusOK, resp)
 }

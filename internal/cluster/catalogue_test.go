@@ -18,10 +18,17 @@ import (
 	"repro/internal/wal"
 )
 
+// catalogueRow is one documented name of the DESIGN.md §13 table: the
+// name as written and its anchored pattern.
+type catalogueRow struct {
+	name string
+	re   *regexp.Regexp
+}
+
 // catalogue parses the DESIGN.md §13 metric table into one anchored
 // pattern per documented name: a `<placeholder>` matches any suffix and
 // `{a,b}` lists alternatives.
-func catalogue(t *testing.T) []*regexp.Regexp {
+func catalogue(t *testing.T) []catalogueRow {
 	t.Helper()
 	f, err := os.Open("../../DESIGN.md")
 	if err != nil {
@@ -30,7 +37,7 @@ func catalogue(t *testing.T) []*regexp.Regexp {
 	defer f.Close()
 	placeholder := regexp.MustCompile(`<[a-z]+>`)
 	braces := regexp.MustCompile(`\{([^}]*)\}`)
-	var pats []*regexp.Regexp
+	var pats []catalogueRow
 	in := false
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -57,7 +64,7 @@ func catalogue(t *testing.T) []*regexp.Regexp {
 			re = braces.ReplaceAllStringFunc(re, func(m string) string {
 				return "(?:" + strings.ReplaceAll(m[1:len(m)-1], ",", "|") + ")"
 			})
-			pats = append(pats, regexp.MustCompile("^"+re+"$"))
+			pats = append(pats, catalogueRow{tok, regexp.MustCompile("^" + re + "$")})
 		}
 	}
 	if len(pats) < 20 {
@@ -69,7 +76,9 @@ func catalogue(t *testing.T) []*regexp.Regexp {
 // TestMetricCatalogue boots an engine-backed server and an in-process
 // router, drives mutations and reads through both, then walks each live
 // registry (GET /v1/metrics) and requires every name to match a row of
-// the DESIGN.md §13 catalogue.
+// the DESIGN.md §13 catalogue. The other direction holds for the engine:
+// it registers all its metrics eagerly, so every documented engine.*
+// name must match something the engine-backed server exports.
 func TestMetricCatalogue(t *testing.T) {
 	pats := catalogue(t)
 	ctx := context.Background()
@@ -102,6 +111,7 @@ func TestMetricCatalogue(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	s0, s1 := splitSites(t, len(caps))
+	var engineNames []string
 	for _, base := range []string{single.URL, front.URL} {
 		cl := api.NewClient(base, nil)
 		for id, site := range map[string]int{"a": s0, "b": s1} {
@@ -146,14 +156,29 @@ func TestMetricCatalogue(t *testing.T) {
 		if len(names) == 0 {
 			t.Fatalf("%s: empty registry", base)
 		}
+		if base == single.URL {
+			engineNames = names
+		}
 	name:
 		for _, n := range names {
 			for _, p := range pats {
-				if p.MatchString(n) {
+				if p.re.MatchString(n) {
 					continue name
 				}
 			}
 			t.Errorf("%s: metric %q has no row in the DESIGN.md §13 catalogue", base, n)
 		}
+	}
+row:
+	for _, p := range pats {
+		if !strings.HasPrefix(p.name, "engine.") {
+			continue
+		}
+		for _, n := range engineNames {
+			if p.re.MatchString(n) {
+				continue row
+			}
+		}
+		t.Errorf("DESIGN.md §13 documents %q, which the engine does not export", p.name)
 	}
 }

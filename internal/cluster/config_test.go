@@ -30,8 +30,6 @@ func TestRouterConfigFanOut(t *testing.T) {
 	patch := scheduler.ConfigPatch{
 		ApproxEpsilon:   fptr(0.05),
 		ApproxThreshold: iptr(2000),
-		HotThreshold:    fptr(0.6),
-		Window:          iptr(48),
 	}
 	if err := r.ApplyConfig(ctx, patch); err != nil {
 		t.Fatal(err)
@@ -41,15 +39,12 @@ func TestRouterConfigFanOut(t *testing.T) {
 		if rc.ApproxEpsilon != 0.05 || rc.ApproxThreshold != 2000 {
 			t.Fatalf("shard %d solver knobs %+v", i, rc)
 		}
-		if rc.Phase.HotThreshold != 0.6 || rc.Phase.Window != 48 {
-			t.Fatalf("shard %d phase knobs %+v", i, rc.Phase)
-		}
 	}
 	rc, err := r.RuntimeConfig(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.ApproxEpsilon != 0.05 || rc.Phase.HotThreshold != 0.6 {
+	if rc.ApproxEpsilon != 0.05 || rc.ApproxThreshold != 2000 {
 		t.Fatalf("router merged config %+v", rc)
 	}
 
@@ -148,7 +143,7 @@ func TestRouterConfigMixedPolicyRefusal(t *testing.T) {
 	if err := scs[1].SetPolicyName("drf"); err != nil {
 		t.Fatal(err)
 	}
-	err = r.ApplyConfig(ctx, scheduler.ConfigPatch{HotThreshold: fptr(0.5)})
+	err = r.ApplyConfig(ctx, scheduler.ConfigPatch{ApproxEpsilon: fptr(0.5)})
 	if !errors.Is(err, cluster.ErrPolicyMismatch) {
 		t.Fatalf("mixed-policy patch: err = %v, want ErrPolicyMismatch", err)
 	}
@@ -185,17 +180,15 @@ func TestRouterConfigOverHTTPShards(t *testing.T) {
 	ctx := context.Background()
 
 	if err := r.ApplyConfig(ctx, scheduler.ConfigPatch{
-		Policy:        sptr("amf-enhanced"),
-		ApproxEpsilon: fptr(0.02),
-		HotThreshold:  fptr(0.3),
-		MaxBatches:    iptr(4),
+		Policy:          sptr("amf-enhanced"),
+		ApproxEpsilon:   fptr(0.02),
+		ApproxThreshold: iptr(4),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, sc := range scs {
 		rc := sc.RuntimeConfig()
-		if rc.Policy != "amf-enhanced" || rc.ApproxEpsilon != 0.02 ||
-			rc.Phase.HotThreshold != 0.3 || rc.Phase.MaxBatches != 4 {
+		if rc.Policy != "amf-enhanced" || rc.ApproxEpsilon != 0.02 || rc.ApproxThreshold != 4 {
 			t.Fatalf("shard %d config over HTTP %+v", i, rc)
 		}
 	}
@@ -203,7 +196,7 @@ func TestRouterConfigOverHTTPShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Policy != "amf-enhanced" || rc.Phase.MaxBatches != 4 {
+	if rc.Policy != "amf-enhanced" || rc.ApproxThreshold != 4 {
 		t.Fatalf("router merged config over HTTP %+v", rc)
 	}
 }

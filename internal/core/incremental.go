@@ -130,7 +130,6 @@ type IncrementalSolver struct {
 // incComp is one live connected component carried across solves.
 type incComp struct {
 	id   int
-	key  string   // stable identity: lexicographically smallest member name
 	jobs []string // member job names, sorted to instance order at use
 	// rows[k] is jobs[k]'s instance row as of generation rowsGen; rows
 	// shift between solves, so orderMembers refreshes them before use.
@@ -139,46 +138,9 @@ type incComp struct {
 	sites   []int // sorted global site indices
 	dirty   bool
 
-	// mutGen is the generation at which a mutation last dirtied this
-	// component; solveGen/lastSolve record its most recent actual solve.
-	// The scheduler's hot/cold classifier reads these via VisitComponents.
-	mutGen    uint64
-	solveGen  uint64
-	lastSolve time.Duration
-
 	result   *ComponentResult
 	pendHash uint64
 	pendKey  []byte
-}
-
-// CompStat is the per-component telemetry row VisitComponents reports
-// after a Solve: the component's stable identity, membership, whether the
-// most recent Solve dirtied (Touched) or actually re-solved (Solved) it,
-// and the wall time of its most recent solve. Jobs and Sites are the
-// solver's own slices — callers must treat them as read-only and must not
-// retain them across Solve calls.
-type CompStat struct {
-	Key       string
-	Jobs      []string
-	Sites     []int
-	Touched   bool
-	Solved    bool
-	LastSolve time.Duration
-}
-
-// VisitComponents calls fn for every live component, in no particular
-// order. Like Solve, it must be externally serialized with Solve/Reset.
-func (x *IncrementalSolver) VisitComponents(fn func(CompStat)) {
-	for _, c := range x.comps {
-		fn(CompStat{
-			Key:       c.key,
-			Jobs:      c.jobs,
-			Sites:     c.sites,
-			Touched:   c.mutGen == x.gen,
-			Solved:    c.solveGen == x.gen,
-			LastSolve: c.lastSolve,
-		})
-	}
 }
 
 // ComponentResult is one component's solution: an immutable full-width
@@ -473,12 +435,6 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 		if nj := len(c.jobs); nj > st.LargestComponent {
 			st.LargestComponent = nj
 		}
-		if c.dirty {
-			// Mutation-dirty this generation (repartitioned or content
-			// changed) — distinct from globalInval, which routes untouched
-			// components through the fingerprint without a mutation hit.
-			c.mutGen = x.gen
-		}
 		if !c.dirty && !globalInval && c.result != nil {
 			c.result.lastUsed = x.gen
 			st.Reused++
@@ -512,8 +468,7 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 
 	var seqNS atomic.Int64
 	// perComp collects per-component solve wall times for detail stage
-	// events and the hot/cold classifier; workers write disjoint indices,
-	// so no lock is needed.
+	// events; workers write disjoint indices, so no lock is needed.
 	perComp := make([]time.Duration, len(toSolve))
 	// reps collects per-component approximate-path reports; same disjoint
 	// indexing as perComp.
@@ -543,8 +498,6 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 				reps[k] = rep
 				seqNS.Add(int64(d))
 				perComp[k] = d
-				c.lastSolve = d
-				c.solveGen = x.gen
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -736,16 +689,6 @@ func (x *IncrementalSolver) repartition(in *Instance, row func(string) int, affe
 	}
 	for _, c := range byRoot {
 		sort.Ints(c.sites)
-		// Stable identity: the lexicographically smallest member name. It
-		// survives re-splits as long as that member stays in the component,
-		// which is what lets the classifier accumulate hit counts across
-		// repartitions.
-		c.key = c.jobs[0]
-		for _, name := range c.jobs[1:] {
-			if name < c.key {
-				c.key = name
-			}
-		}
 	}
 }
 

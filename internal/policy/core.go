@@ -27,7 +27,7 @@ type amfPolicy struct{}
 
 func (amfPolicy) Name() string { return "amf" }
 func (amfPolicy) Capabilities() Capabilities {
-	return Capabilities{Incremental: true, Approx: true, Commutative: true}
+	return Capabilities{Incremental: true, Approx: true}
 }
 func (amfPolicy) Fingerprint() uint64 { return fnvString(fnvOffset, "amf") }
 func (amfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
@@ -59,7 +59,7 @@ type enhancedPolicy struct{}
 
 func (enhancedPolicy) Name() string { return "amf-enhanced" }
 func (enhancedPolicy) Capabilities() Capabilities {
-	return Capabilities{Incremental: true, GlobalWeightFloors: true, Approx: true, Commutative: true}
+	return Capabilities{Incremental: true, GlobalWeightFloors: true, Approx: true}
 }
 func (enhancedPolicy) Fingerprint() uint64 { return fnvString(fnvOffset, "amf-enhanced") }
 func (enhancedPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
@@ -73,7 +73,7 @@ func (enhancedPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, 
 type psmmfPolicy struct{}
 
 func (psmmfPolicy) Name() string               { return "psmmf" }
-func (psmmfPolicy) Capabilities() Capabilities { return Capabilities{Commutative: true} }
+func (psmmfPolicy) Capabilities() Capabilities { return Capabilities{} }
 func (psmmfPolicy) Fingerprint() uint64        { return fnvString(fnvOffset, "psmmf") }
 func (psmmfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
 	if err := ctx.Err(); err != nil {

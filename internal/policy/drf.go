@@ -68,12 +68,8 @@ func (d *DRF) Name() string { return "drf" }
 func (d *DRF) Capabilities() Capabilities {
 	// Incremental is false: the core water-filling solver cannot run DRF,
 	// so the scheduler's from-scratch path is used and the policy's own
-	// component cache provides the churn win instead. Commutative is true
-	// — dominant shares depend only on current demands and weights — so
-	// the discipline opts into phase reconciliation, though without the
-	// incremental path there is no per-component telemetry to mark
-	// components hot, and the bit is latent today.
-	return Capabilities{MultiResource: true, Commutative: true}
+	// component cache provides the churn win instead.
+	return Capabilities{MultiResource: true}
 }
 
 func (d *DRF) Fingerprint() uint64 {

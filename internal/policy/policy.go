@@ -39,16 +39,6 @@ type Capabilities struct {
 	// Approx: the policy honors the solver's approximate water-filling
 	// knobs (ApproxEpsilon/ApproxThreshold).
 	Approx bool
-	// Commutative: the policy's allocation is a pure function of the
-	// current weights, demands and capacities, so progress reports and
-	// weight updates targeting the same job set commute — applying them
-	// merged at a phase boundary yields the same allocation as applying
-	// them one commit at a time. The serving engine buffers such mutations
-	// for hot components (Doppel-style phase reconciliation) only when the
-	// active policy sets this bit. AMF+JCT does not: its JCT-refined split
-	// depends on outstanding work, so a deferred progress report would
-	// change intermediate allocations, not just the final one.
-	Commutative bool
 }
 
 // View is the read-only problem a policy allocates over: the scheduler's

@@ -27,12 +27,12 @@ func TestForNameRoundTrip(t *testing.T) {
 
 func TestCapabilityMatrix(t *testing.T) {
 	want := map[string]Capabilities{
-		"amf":          {Incremental: true, Approx: true, Commutative: true},
+		"amf":          {Incremental: true, Approx: true},
 		"amf+jct":      {},
-		"amf-enhanced": {Incremental: true, GlobalWeightFloors: true, Approx: true, Commutative: true},
-		"psmmf":        {Commutative: true},
-		"drf":          {MultiResource: true, Commutative: true},
-		"propfair":     {Commutative: true},
+		"amf-enhanced": {Incremental: true, GlobalWeightFloors: true, Approx: true},
+		"psmmf":        {},
+		"drf":          {MultiResource: true},
+		"propfair":     {},
 	}
 	for _, name := range Names() {
 		p, err := ForName(name)

@@ -41,7 +41,7 @@ type PropFair struct {
 func NewPropFair() *PropFair { return &PropFair{} }
 
 func (p *PropFair) Name() string               { return "propfair" }
-func (p *PropFair) Capabilities() Capabilities { return Capabilities{Commutative: true} }
+func (p *PropFair) Capabilities() Capabilities { return Capabilities{} }
 
 func (p *PropFair) Fingerprint() uint64 {
 	h := fnvString(fnvOffset, "propfair")

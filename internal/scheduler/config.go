@@ -1,8 +1,8 @@
 package scheduler
 
 // Runtime-tuning config as one coherent document. Every knob that used to
-// have a bespoke setter (policy, approximate-solver routing, and now the
-// phase-reconciliation knobs) is readable and patchable through
+// have a bespoke setter (policy, approximate-solver routing) is readable
+// and patchable through
 // RuntimeConfig/ConfigPatch — the scheduler-level substrate of the HTTP
 // API's GET/PATCH /v1/config. A patch is validated in full before
 // anything is applied, so a rejected patch leaves the controller
@@ -18,10 +18,9 @@ import (
 // document minus the immutable site capacities (which the API layer adds
 // from its own boot config).
 type RuntimeConfig struct {
-	Policy          string      `json:"policy"`
-	ApproxEpsilon   float64     `json:"approx_epsilon"`
-	ApproxThreshold int         `json:"approx_threshold"`
-	Phase           PhaseConfig `json:"phase"`
+	Policy          string  `json:"policy"`
+	ApproxEpsilon   float64 `json:"approx_epsilon"`
+	ApproxThreshold int     `json:"approx_threshold"`
 }
 
 // RuntimeConfig reports the current runtime-tuning state.
@@ -32,32 +31,27 @@ func (sc *Scheduler) RuntimeConfig() RuntimeConfig {
 		Policy:          sc.cfg.Policy.Name(),
 		ApproxEpsilon:   sc.cfg.Solver.ApproxEpsilon,
 		ApproxThreshold: sc.cfg.Solver.ApproxThreshold,
-		Phase:           sc.cfg.Phase,
 	}
 }
 
 // ConfigPatch is a partial runtime-tuning update: nil fields keep their
 // current values. It is also the WAL payload of OpSetConfig, so replay
-// re-applies exactly what was patched.
+// re-applies exactly what was patched. Records written by older builds may
+// carry fields this type no longer has; the WAL decoder ignores them.
 type ConfigPatch struct {
 	Policy          *string  `json:"policy,omitempty"`
 	ApproxEpsilon   *float64 `json:"approx_epsilon,omitempty"`
 	ApproxThreshold *int     `json:"approx_threshold,omitempty"`
-	HotThreshold    *float64 `json:"hot_threshold,omitempty"`
-	MaxBatches      *int     `json:"max_batches,omitempty"`
-	MaxIntervalMS   *int     `json:"max_interval_ms,omitempty"`
-	Window          *int     `json:"window,omitempty"`
 }
 
 // Empty reports whether the patch changes nothing.
 func (p ConfigPatch) Empty() bool {
-	return p.Policy == nil && p.ApproxEpsilon == nil && p.ApproxThreshold == nil &&
-		p.HotThreshold == nil && p.MaxBatches == nil && p.MaxIntervalMS == nil && p.Window == nil
+	return p.Policy == nil && p.ApproxEpsilon == nil && p.ApproxThreshold == nil
 }
 
 // resolve folds the patch over the current state and validates the
 // result, returning the policy to install (nil = unchanged).
-func (sc *Scheduler) resolvePatchLocked(p ConfigPatch) (pol policy.Policy, eps float64, threshold int, ph PhaseConfig, err error) {
+func (sc *Scheduler) resolvePatchLocked(p ConfigPatch) (pol policy.Policy, eps float64, threshold int, err error) {
 	eps, threshold = sc.cfg.Solver.ApproxEpsilon, sc.cfg.Solver.ApproxThreshold
 	if p.ApproxEpsilon != nil {
 		eps = *p.ApproxEpsilon
@@ -66,31 +60,15 @@ func (sc *Scheduler) resolvePatchLocked(p ConfigPatch) (pol policy.Policy, eps f
 		threshold = *p.ApproxThreshold
 	}
 	if err = validateApproxConfig(eps, threshold); err != nil {
-		return nil, 0, 0, PhaseConfig{}, err
-	}
-	ph = sc.cfg.Phase
-	if p.HotThreshold != nil {
-		ph.HotThreshold = *p.HotThreshold
-	}
-	if p.MaxBatches != nil {
-		ph.MaxBatches = *p.MaxBatches
-	}
-	if p.MaxIntervalMS != nil {
-		ph.MaxIntervalMS = *p.MaxIntervalMS
-	}
-	if p.Window != nil {
-		ph.Window = *p.Window
-	}
-	if err = ph.validate(); err != nil {
-		return nil, 0, 0, PhaseConfig{}, err
+		return nil, 0, 0, err
 	}
 	if p.Policy != nil {
 		pol, err = policy.ForName(*p.Policy)
 		if err != nil {
-			return nil, 0, 0, PhaseConfig{}, err
+			return nil, 0, 0, err
 		}
 	}
-	return pol, eps, threshold, ph, nil
+	return pol, eps, threshold, nil
 }
 
 // ApplyConfigPatch validates the whole patch against the current state
@@ -100,7 +78,7 @@ func (sc *Scheduler) resolvePatchLocked(p ConfigPatch) (pol policy.Policy, eps f
 func (sc *Scheduler) ApplyConfigPatch(p ConfigPatch) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	pol, eps, threshold, ph, err := sc.resolvePatchLocked(p)
+	pol, eps, threshold, err := sc.resolvePatchLocked(p)
 	if err != nil {
 		return err
 	}
@@ -108,7 +86,6 @@ func (sc *Scheduler) ApplyConfigPatch(p ConfigPatch) error {
 		sc.setPolicyLocked(pol)
 	}
 	sc.setApproxLocked(eps, threshold)
-	sc.setPhaseLocked(ph)
 	return nil
 }
 
@@ -118,7 +95,7 @@ func (sc *Scheduler) ApplyConfigPatch(p ConfigPatch) error {
 func (sc *Scheduler) ValidateConfigPatch(p ConfigPatch) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	_, _, _, _, err := sc.resolvePatchLocked(p)
+	_, _, _, err := sc.resolvePatchLocked(p)
 	return err
 }
 
@@ -139,18 +116,6 @@ func (p ConfigPatch) String() string {
 	}
 	if p.ApproxThreshold != nil {
 		add("approx_threshold", *p.ApproxThreshold)
-	}
-	if p.HotThreshold != nil {
-		add("hot_threshold", *p.HotThreshold)
-	}
-	if p.MaxBatches != nil {
-		add("max_batches", *p.MaxBatches)
-	}
-	if p.MaxIntervalMS != nil {
-		add("max_interval_ms", *p.MaxIntervalMS)
-	}
-	if p.Window != nil {
-		add("window", *p.Window)
 	}
 	return out + "}"
 }

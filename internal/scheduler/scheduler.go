@@ -68,11 +68,6 @@ type Config struct {
 	// supplied with its own knobs set.
 	ApproxEpsilon   float64
 	ApproxThreshold int
-	// Phase configures Doppel-style phase reconciliation for hot
-	// components (see PhaseConfig). The zero value disables it. The
-	// scheduler itself only carries the knobs and the hot/cold classifier;
-	// delta buffering happens in the serving engine's committer.
-	Phase PhaseConfig
 	// OnSolve, when set, is invoked after every allocator run with its
 	// wall-clock duration — the instrumentation hook internal/serve uses to
 	// feed solve-latency histograms. It is called with the controller's
@@ -211,12 +206,6 @@ type Scheduler struct {
 
 	queueWeight map[string]float64 // declared queues (see queues.go)
 	jobQueue    map[string]string  // job -> queue ("" = default)
-
-	// hot is the hot/cold classifier state (see hotset.go); hotSet is the
-	// immutable classification snapshot the serving engine consumes. Both
-	// nil while phase reconciliation is disabled.
-	hot    *hotTracker
-	hotSet *HotSet
 }
 
 // New returns an empty controller.
@@ -230,9 +219,6 @@ func New(cfg Config) (*Scheduler, error) {
 		}
 	}
 	if err := validateApproxConfig(cfg.ApproxEpsilon, cfg.ApproxThreshold); err != nil {
-		return nil, err
-	}
-	if err := cfg.Phase.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Policy == nil {
@@ -353,7 +339,6 @@ func (sc *Scheduler) setPolicyLocked(p policy.Policy) {
 	}
 	sc.cfg.Policy = p
 	sc.installIncrementalLocked()
-	sc.resetHotLocked() // component identities and telemetry are per-discipline
 	clear(sc.dirty)
 	for id := range sc.jobs {
 		sc.dirty[id] = true
@@ -547,7 +532,6 @@ func (sc *Scheduler) removeLocked(id string) {
 		if len(sc.removed) > 2*len(sc.order)+64 {
 			sc.inc.Reset()
 			sc.removed = nil
-			sc.resetHotLocked()
 		}
 	}
 	if i, ok := sc.orderIdx[id]; ok {
@@ -586,29 +570,15 @@ func (sc *Scheduler) ReportProgress(id string, done []float64) (completed bool, 
 	if !ok {
 		return false, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	if err := validateProgress(done, sc.NumSites()); err != nil {
-		return false, err
-	}
-	return sc.progressLocked(id, j, done), nil
-}
-
-// validateProgress shape- and sign-checks one progress row.
-func validateProgress(done []float64, sites int) error {
-	if len(done) != sites {
-		return fmt.Errorf("scheduler: progress has %d entries for %d sites",
-			len(done), sites)
+	if len(done) != sc.NumSites() {
+		return false, fmt.Errorf("scheduler: progress has %d entries for %d sites",
+			len(done), sc.NumSites())
 	}
 	for s, d := range done {
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return fmt.Errorf("scheduler: invalid progress %g at site %d", d, s)
+			return false, fmt.Errorf("scheduler: invalid progress %g at site %d", d, s)
 		}
 	}
-	return nil
-}
-
-// progressLocked applies one validated progress row — the shared core of
-// ReportProgress and ApplyMerged's phase-boundary reconciliation.
-func (sc *Scheduler) progressLocked(id string, j *Job, done []float64) (completed bool) {
 	anyLeft := false
 	for s, d := range done {
 		if j.Remaining[s] <= 0 {
@@ -637,9 +607,9 @@ func (sc *Scheduler) progressLocked(id string, j *Job, done []float64) (complete
 		sc.removeLocked(id)
 		sc.stats.Completed++
 		sc.needSolve = true
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
 // UpdateWeight changes a job's share weight at runtime (e.g. a priority
@@ -651,13 +621,6 @@ func (sc *Scheduler) UpdateWeight(id string, weight float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	sc.setWeightLocked(id, j, weight)
-	return nil
-}
-
-// setWeightLocked applies one weight update — the shared core of
-// UpdateWeight and ApplyMerged's phase-boundary reconciliation.
-func (sc *Scheduler) setWeightLocked(id string, j *Job, weight float64) {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -666,6 +629,7 @@ func (sc *Scheduler) setWeightLocked(id string, j *Job, weight float64) {
 		sc.markStaleLocked(id)
 		sc.markDirtyLocked(id)
 	}
+	return nil
 }
 
 // SetExternalWeight installs the share weight held by jobs outside this
@@ -729,7 +693,6 @@ func (sc *Scheduler) setApproxLocked(eps float64, threshold int) {
 		// routing-knob change must drop them wholesale.
 		sc.inc.Reset()
 	}
-	sc.resetHotLocked() // the dropped components' telemetry went with them
 	sc.needSolve = true
 }
 
@@ -965,10 +928,6 @@ func (sc *Scheduler) solveLocked() error {
 	switch {
 	case sc.queuedLocked():
 		err = sc.solveHierarchicalLocked(in)
-		// The hierarchical path bypasses the incremental solver, so the
-		// classifier gets no telemetry: drop the hot set rather than let the
-		// engine buffer against a stale one.
-		sc.resetHotLocked()
 	case sc.inc != nil:
 		incremental = true
 		err = sc.solveIncrementalLocked(in)
@@ -1058,7 +1017,6 @@ func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	clear(sc.dirty)
 	sc.removed = sc.removed[:0]
 	sc.needSolve = false
-	sc.recordHotLocked()
 	return nil
 }
 
@@ -1077,16 +1035,7 @@ func (sc *Scheduler) solveFlatLocked(in *core.Instance) (policy.Stats, error) {
 	// itself (SetPolicy), so an unconsumed dirty set is pure leak.
 	clear(sc.dirty)
 	sc.needSolve = false
-	sc.resetHotLocked() // no incremental telemetry: nothing can be hot
 	return pst, nil
-}
-
-// ValidateProgress shape- and sign-checks one progress row without
-// touching any job — the serving engine validates commutative mutations
-// before buffering them, since a buffered mutation is acknowledged long
-// before it is applied.
-func ValidateProgress(done []float64, sites int) error {
-	return validateProgress(done, sites)
 }
 
 // installSharesLocked replaces the share map with a whole allocation's

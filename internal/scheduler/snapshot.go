@@ -26,14 +26,13 @@ type Snapshot struct {
 	// effect when the snapshot was taken (zero standalone); restoring it
 	// keeps replica replay and compacted-WAL recovery deterministic.
 	ExternalWeight float64 `json:"external_weight,omitempty"`
-	// Solver and Phase carry the runtime-tuning knobs in effect when the
-	// snapshot was taken. Runtime tuning is WAL-logged (OpSetConfig), so
-	// compaction — which folds the WAL into this snapshot — must preserve
-	// it or a recovered controller would silently revert to boot defaults.
-	// Nil (pre-config-surface snapshots) leaves the controller's current
+	// Solver carries the runtime-tuning knobs in effect when the snapshot
+	// was taken. Runtime tuning is WAL-logged (OpSetConfig), so compaction
+	// — which folds the WAL into this snapshot — must preserve it or a
+	// recovered controller would silently revert to boot defaults. Nil
+	// (pre-config-surface snapshots) leaves the controller's current
 	// values untouched.
 	Solver *SolverSnapshot `json:"solver,omitempty"`
-	Phase  *PhaseConfig    `json:"phase,omitempty"`
 }
 
 // SolverSnapshot is the persisted approximate-path tuning.
@@ -54,9 +53,7 @@ func (sc *Scheduler) Snapshot() Snapshot {
 			ApproxEpsilon:   sc.cfg.Solver.ApproxEpsilon,
 			ApproxThreshold: sc.cfg.Solver.ApproxThreshold,
 		},
-		Phase: &PhaseConfig{},
 	}
-	*snap.Phase = sc.cfg.Phase
 	if len(sc.queueWeight) > 0 {
 		snap.Queues = make(map[string]float64, len(sc.queueWeight))
 		for q, w := range sc.queueWeight {
@@ -95,11 +92,6 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 	if snap.Solver != nil {
 		if err := validateApproxConfig(snap.Solver.ApproxEpsilon, snap.Solver.ApproxThreshold); err != nil {
 			return fmt.Errorf("scheduler: snapshot solver config: %w", err)
-		}
-	}
-	if snap.Phase != nil {
-		if err := snap.Phase.validate(); err != nil {
-			return fmt.Errorf("scheduler: snapshot phase config: %w", err)
 		}
 	}
 	for _, j := range snap.Jobs {
@@ -171,12 +163,6 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 	if snap.Solver != nil {
 		sc.setApproxLocked(snap.Solver.ApproxEpsilon, snap.Solver.ApproxThreshold)
 	}
-	if snap.Phase != nil {
-		sc.setPhaseLocked(*snap.Phase)
-	}
-	// Component identities restart with the job set; classification must
-	// re-accumulate rather than trust pre-restore hit counts.
-	sc.resetHotLocked()
 	sc.needSolve = true
 	return nil
 }

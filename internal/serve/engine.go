@@ -146,15 +146,6 @@ type AllocSnapshot struct {
 	// Reused is zero on from-scratch paths.
 	ComponentsReused   int
 	ComponentsResolved int
-	// PhaseLag counts acknowledged commutative mutations buffered against
-	// hot components (Doppel-style phase reconciliation) and not yet folded
-	// into this snapshot's allocation. Zero means the snapshot is exact; a
-	// positive value bounds exactly how stale reads between phase
-	// boundaries are.
-	PhaseLag int
-	// HotComponents is the size of the classifier's hot set at commit time
-	// (0 when phase reconciliation is off).
-	HotComponents int
 	// Fairness summarizes the jobs' aggregate allocations (the source of
 	// the fairness.* gauges), read from the controller together with the
 	// shares: reduced from the solver's per-component partials, exact up to
@@ -186,7 +177,6 @@ const (
 	stageWALAppend = "wal_append"
 	stageWALFsync  = "wal_fsync"
 	stagePublish   = "publish"
-	stageReconcile = "reconcile"
 )
 
 // op submission states: the CAS between the committer (taking the op to
@@ -237,13 +227,8 @@ type Engine struct {
 	// committer commits it alone on its next iteration. Committer-only.
 	pending *op
 
-	// phase is the Doppel-style delta-buffering state (see phase.go) and
-	// hitWin the windowed cache-hit-ratio tracker; both committer-only.
-	// phaseLagA mirrors phase.buffered for the lock-free fast path in
-	// Snapshot (store-before-ack ordering makes the mirror safe to trust).
-	phase     phaseState
-	hitWin    cacheWindow
-	phaseLagA atomic.Int64
+	// hitWin is the windowed cache-hit-ratio tracker; committer-only.
+	hitWin cacheWindow
 
 	compactCh chan struct{} // periodic compaction ticks
 	crash     chan struct{} // test support: simulated process death
@@ -273,43 +258,38 @@ type Engine struct {
 
 	// Cached metric handles; when Config.Metrics is unset they point into
 	// a private throwaway registry so the hot path stays branch-free.
-	reg              *obs.Registry
-	mMutations       *obs.Counter
-	mCommits         *obs.Counter
-	mExclusive       *obs.Counter
-	mCancels         *obs.Counter
-	mSolveErrs       *obs.Counter
-	mReads           *obs.Counter
-	mWALErrs         *obs.Counter
-	mCompacts        *obs.Counter
-	mPhaseBuffered   *obs.Counter
-	mPhaseReconciles *obs.Counter
-	mPhaseForced     *obs.Counter
-	hSolve           *obs.Histogram
-	hCommit          *obs.Histogram
-	hWALAppend       *obs.Histogram
-	hWALFsync        *obs.Histogram
-	hWALCompact      *obs.Histogram
-	gBatch           *obs.Gauge
-	gVersion         *obs.Gauge
-	gJobs            *obs.Gauge
-	gComps           *obs.Gauge
-	gLargest         *obs.Gauge
-	gSpeedup         *obs.Gauge
-	gReused          *obs.Gauge
-	gResolved        *obs.Gauge
-	gHitRatio        *obs.Gauge
-	gHitRatioWin     *obs.Gauge
-	gPhaseLag        *obs.Gauge
-	gHotComps        *obs.Gauge
-	gWALRecords      *obs.Gauge
-	gWALBytes        *obs.Gauge
-	gWALSegs         *obs.Gauge
-	gJain            *obs.Gauge
-	gMinShare        *obs.Gauge
-	gMaxShare        *obs.Gauge
-	gApproxComp      *obs.Gauge
-	gApproxErr       *obs.Gauge
+	reg          *obs.Registry
+	mMutations   *obs.Counter
+	mCommits     *obs.Counter
+	mExclusive   *obs.Counter
+	mCancels     *obs.Counter
+	mSolveErrs   *obs.Counter
+	mReads       *obs.Counter
+	mWALErrs     *obs.Counter
+	mCompacts    *obs.Counter
+	hSolve       *obs.Histogram
+	hCommit      *obs.Histogram
+	hWALAppend   *obs.Histogram
+	hWALFsync    *obs.Histogram
+	hWALCompact  *obs.Histogram
+	gBatch       *obs.Gauge
+	gVersion     *obs.Gauge
+	gJobs        *obs.Gauge
+	gComps       *obs.Gauge
+	gLargest     *obs.Gauge
+	gSpeedup     *obs.Gauge
+	gReused      *obs.Gauge
+	gResolved    *obs.Gauge
+	gHitRatio    *obs.Gauge
+	gHitRatioWin *obs.Gauge
+	gWALRecords  *obs.Gauge
+	gWALBytes    *obs.Gauge
+	gWALSegs     *obs.Gauge
+	gJain        *obs.Gauge
+	gMinShare    *obs.Gauge
+	gMaxShare    *obs.Gauge
+	gApproxComp  *obs.Gauge
+	gApproxErr   *obs.Gauge
 	// stageHists caches the engine.stage.<name> histograms for the known
 	// stage names; unknown names fall back to a (thread-safe) registry
 	// lookup.
@@ -369,11 +349,6 @@ func New(sc *scheduler.Scheduler, cfg Config) (*Engine, error) {
 	e.gResolved = reg.Gauge("engine.components_resolved")
 	e.gHitRatio = reg.Gauge("engine.cache_hit_ratio")
 	e.gHitRatioWin = reg.Gauge("engine.cache_hit_ratio_window")
-	e.gPhaseLag = reg.Gauge("engine.phase_lag")
-	e.gHotComps = reg.Gauge("engine.hot_components")
-	e.mPhaseBuffered = reg.Counter("engine.phase_buffered_total")
-	e.mPhaseReconciles = reg.Counter("engine.phase_reconciles_total")
-	e.mPhaseForced = reg.Counter("engine.phase_forced_reconciles_total")
 	e.gWALRecords = reg.Gauge("wal.records_since_compact")
 	e.gWALBytes = reg.Gauge("wal.bytes_since_compact")
 	e.gWALSegs = reg.Gauge("wal.segments")
@@ -384,7 +359,7 @@ func New(sc *scheduler.Scheduler, cfg Config) (*Engine, error) {
 	e.gApproxErr = reg.Gauge("engine.approx_error_bound")
 	e.stageHists = make(map[string]*obs.Histogram)
 	for _, s := range []string{
-		stageQueueWait, stageApply, stageWALEncode, stagePublish, stageReconcile,
+		stageQueueWait, stageApply, stageWALEncode, stagePublish,
 		core.StageValidate, core.StagePartition, core.StageSolve,
 		core.StageMerge, core.StageSolveComponent, core.StageSolveApprox,
 	} {
@@ -543,10 +518,6 @@ func (e *Engine) commitLoop() {
 				e.commit(e.gather(o))
 			}
 			e.maybeCompact()
-		case <-e.phase.timerC:
-			// nil until phase deltas arm the interval boundary (a receive
-			// from a nil channel blocks forever, so this case is inert).
-			e.phaseTick()
 		case <-e.compactCh:
 			e.compactNow()
 		case <-e.crash:
@@ -556,16 +527,9 @@ func (e *Engine) commitLoop() {
 	}
 }
 
-// finalize is the graceful-shutdown tail: reconcile outstanding phase
-// deltas (they are acknowledged state), then fold the WAL into a final
+// finalize is the graceful-shutdown tail: fold the WAL into a final
 // snapshot and seal it.
 func (e *Engine) finalize() {
-	if e.phaseFlush(true) && !e.walFailed.Load() {
-		if _, _, err := e.publish(0); err != nil {
-			e.mSolveErrs.Inc()
-		}
-	}
-	e.phaseLagA.Store(0)
 	if e.cfg.Log == nil {
 		return
 	}
@@ -643,7 +607,6 @@ func (e *Engine) commit(batch []*op) {
 	start := time.Now()
 	e.commitSeq++
 	e.beginTrace(batch, start)
-	e.phaseRefresh()
 	tApply := time.Now()
 	var recs []wal.Mutation
 	applied := 0
@@ -656,15 +619,6 @@ func (e *Engine) commit(batch []*op) {
 		applied++
 		if o.traceID != "" {
 			requests = append(requests, o.traceID)
-		}
-		if e.phaseAbsorb(o) {
-			// Buffered against a hot component: not applied yet, but its
-			// WAL record rides in this batch so the ack that follows the
-			// group fsync is durable exactly like an applied mutation's.
-			if o.rec != nil && e.cfg.Log != nil {
-				recs = append(recs, *o.rec)
-			}
-			continue
 		}
 		o.err = o.apply(e.sc)
 		if o.err == nil && o.rec != nil && e.cfg.Log != nil {
@@ -683,19 +637,10 @@ func (e *Engine) commit(batch []*op) {
 	if len(recs) > 0 {
 		if err := e.logBatch(recs); err != nil {
 			e.failWAL(batch, err)
-			// Fold outstanding buffered deltas into the controller so direct
-			// state reads stay complete; nothing is republished (the
-			// in-memory controller already ran ahead of durable state the
-			// moment this batch applied, which is why mutations fail-stop).
-			e.phaseFlush(true)
-			e.phaseLagA.Store(0)
 			e.finishCommit(batch, start)
 			return
 		}
 	}
-	// Phase clock: the batch is durable; reconcile at the boundary so the
-	// merged solve lands in this commit's publish.
-	e.phaseEndBatch()
 	e.solveSpanSum = 0
 	pubStart := time.Now()
 	snap, st, err := e.publish(applied)
@@ -724,12 +669,6 @@ func (e *Engine) commit(batch []*op) {
 			e.gHitRatio.Set(float64(st.CacheHits) / float64(lookups))
 		}
 		e.observeCacheWindow(st.CacheHits, st.CacheMisses)
-		e.gPhaseLag.Set(float64(e.phase.buffered))
-		hot := 0
-		if e.phase.hs != nil {
-			hot = len(e.phase.hs.Keys)
-		}
-		e.gHotComps.Set(float64(hot))
 		e.gApproxComp.Set(float64(st.LastApproxComponents))
 		e.gApproxErr.Set(st.LastApproxErrorBound)
 		e.gJain.Set(snap.Fairness.Jain())
@@ -898,17 +837,6 @@ func (e *Engine) compactNow() {
 	if e.cfg.Log == nil || e.walFailed.Load() {
 		return
 	}
-	// Buffered phase deltas are acknowledged state: fold them in (and
-	// republish, so readers never trail the compacted snapshot) before
-	// capturing it, or compaction would persist a state behind what
-	// callers were told.
-	if e.phaseFlush(true) {
-		e.phaseLagA.Store(0)
-		if _, _, err := e.publish(0); err != nil {
-			e.mSolveErrs.Inc()
-			return
-		}
-	}
 	state, err := wal.EncodeState(e.sc.Snapshot())
 	if err != nil {
 		e.mWALErrs.Inc()
@@ -972,11 +900,7 @@ func (e *Engine) publish(batchSize int) (*AllocSnapshot, scheduler.Stats, error)
 		SolveDuration:      time.Since(solveStart),
 		ComponentsReused:   v.Stats.LastReused,
 		ComponentsResolved: v.Stats.LastResolved,
-		PhaseLag:           e.phase.buffered,
 		Fairness:           v.Fairness,
-	}
-	if e.phase.hs != nil {
-		next.HotComponents = len(e.phase.hs.Keys)
 	}
 	if prev != nil {
 		next.Version = prev.Version + 1
@@ -995,15 +919,6 @@ func (e *Engine) Current() *AllocSnapshot {
 // SnapshotVersion reports the published snapshot's version without
 // counting as a snapshot read — the cluster router's version-vector probe.
 func (e *Engine) SnapshotVersion() uint64 { return e.snap.Load().Version }
-
-// PhaseInfo reports the published snapshot's phase lag (acknowledged
-// commutative mutations buffered against hot components, not yet folded
-// into the allocation; 0 = exact) and the classifier's hot-set size,
-// without counting as a snapshot read.
-func (e *Engine) PhaseInfo() (phaseLag, hotComponents int) {
-	snap := e.snap.Load()
-	return snap.PhaseLag, snap.HotComponents
-}
 
 // ReadyErr reports whether the engine can accept mutations: nil when
 // healthy, ErrWALFailed after a durability fail-stop, ErrClosed after
@@ -1111,10 +1026,10 @@ func (e *Engine) SetExternalWeight(ctx context.Context, w float64) error {
 func (e *Engine) PolicyName() string { return e.sc.PolicyName() }
 
 // RuntimeConfig reports the controller's runtime-tuning document:
-// policy, approximate-solver routing, phase-reconciliation knobs. The
-// context parameter exists for surface uniformity with backends whose
-// config read fans out remotely (the cluster router); here it is only
-// checked for cancellation.
+// policy and approximate-solver routing. The context parameter exists
+// for surface uniformity with backends whose config read fans out
+// remotely (the cluster router); here it is only checked for
+// cancellation.
 func (e *Engine) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
 	if err := ctx.Err(); err != nil {
 		return scheduler.RuntimeConfig{}, err
@@ -1124,13 +1039,13 @@ func (e *Engine) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, er
 
 // ApplyConfig applies one runtime-tuning patch (PATCH /v1/config) — the
 // only runtime switch for the fairness policy and the solver knobs. Like
-// Restore it is exclusive — the batch pipeline quiesces, outstanding
-// phase deltas reconcile, and the patch commits alone, so every other
-// commit is solved entirely under one policy — and WAL-logged
-// (OpSetConfig), so recovery replays the tuning change at the same point
-// in the mutation order and compaction persists the result. The patch is
-// validated against the current state before it is enqueued, so an
-// invalid patch fails fast and never poisons a WAL record.
+// Restore it is exclusive — the batch pipeline quiesces and the patch
+// commits alone, so every other commit is solved entirely under one
+// policy — and WAL-logged (OpSetConfig), so recovery replays the tuning
+// change at the same point in the mutation order and compaction persists
+// the result. The patch is validated against the current state before it
+// is enqueued, so an invalid patch fails fast and never poisons a WAL
+// record.
 func (e *Engine) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
 	if err := e.sc.ValidateConfigPatch(p); err != nil {
 		return err
@@ -1249,19 +1164,47 @@ func (e *Engine) Shares(ctx context.Context, id string) ([]float64, error) {
 // Stats passes through the controller's counters.
 func (e *Engine) Stats() scheduler.Stats { return e.sc.Stats() }
 
-// Snapshot returns the controller's persistable job-set state. When
-// phase deltas are outstanding it first quiesces them through the
-// committer — an exclusive no-op commit forces a reconcile of every
-// buffer before it applies — so the snapshot reflects every
-// acknowledged mutation. On a closed engine the committer's finalize
-// already flushed; after a WAL fail-stop the snapshot reflects
-// reconciled state only (recovery from the log itself is authoritative
-// there).
-func (e *Engine) Snapshot() scheduler.Snapshot {
-	if e.phaseLagA.Load() > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = e.submit(ctx, true, nil, func(*scheduler.Scheduler) error { return nil })
+// Snapshot returns the controller's persistable job-set state.
+func (e *Engine) Snapshot() scheduler.Snapshot { return e.sc.Snapshot() }
+
+// cacheWindow tracks per-commit deltas of the solver's lifetime
+// fingerprint-cache counters over the last cacheWindowCommits commits,
+// feeding engine.cache_hit_ratio_window. The lifetime ratio
+// (engine.cache_hit_ratio) is kept for continuity but converges so
+// slowly on long-lived engines that a behavior change — a policy
+// switch, a workload shift — barely moves it; the windowed companion
+// reacts within a window.
+type cacheWindow struct {
+	hits, misses [cacheWindowCommits]int64
+	pos, size    int
+	prevH, prevM int64
+	sumH, sumM   int64
+}
+
+const cacheWindowCommits = 64
+
+func (e *Engine) observeCacheWindow(hits, misses int64) {
+	w := &e.hitWin
+	dh, dm := hits-w.prevH, misses-w.prevM
+	w.prevH, w.prevM = hits, misses
+	if dh < 0 || dm < 0 {
+		// The lifetime counters reset (solver reinstalled on a policy
+		// switch): restart the window instead of folding a negative delta.
+		*w = cacheWindow{prevH: hits, prevM: misses}
+		e.gHitRatioWin.Set(0)
+		return
 	}
-	return e.sc.Snapshot()
+	if w.size == cacheWindowCommits {
+		w.sumH -= w.hits[w.pos]
+		w.sumM -= w.misses[w.pos]
+	} else {
+		w.size++
+	}
+	w.hits[w.pos], w.misses[w.pos] = dh, dm
+	w.sumH += dh
+	w.sumM += dm
+	w.pos = (w.pos + 1) % cacheWindowCommits
+	if lookups := w.sumH + w.sumM; lookups > 0 {
+		e.gHitRatioWin.Set(float64(w.sumH) / float64(lookups))
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,5 +328,39 @@ func TestEngineIncrementalTelemetry(t *testing.T) {
 	st := eng.Stats()
 	if st.CacheHits == 0 || st.LastReused != 3 {
 		t.Fatalf("stats missing incremental accounting: %+v", st)
+	}
+}
+
+func TestCacheWindowGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng, _ := newEngine(t, Config{Metrics: reg})
+	g := reg.Gauge("engine.cache_hit_ratio_window")
+
+	// Deltas fold into the window: 8 hits, 2 misses -> 0.8.
+	eng.observeCacheWindow(0, 0)
+	eng.observeCacheWindow(4, 1)
+	eng.observeCacheWindow(8, 2)
+	if got := g.Value(); math.Abs(got-0.8) > 1e-12 {
+		t.Fatalf("windowed ratio = %v, want 0.8", got)
+	}
+	// A counter reset (solver reinstalled) restarts the window instead of
+	// folding a negative delta.
+	eng.observeCacheWindow(0, 0)
+	if got := g.Value(); got != 0 {
+		t.Fatalf("windowed ratio after reset = %v, want 0", got)
+	}
+	eng.observeCacheWindow(3, 1)
+	if got := g.Value(); math.Abs(got-0.75) > 1e-12 {
+		t.Fatalf("windowed ratio after restart = %v, want 0.75", got)
+	}
+	// Old commits age out of the 64-commit window: drown the early misses
+	// with hit-only commits, then check the ratio converges to 1.
+	h, m := int64(3), int64(1)
+	for i := 0; i < cacheWindowCommits; i++ {
+		h += 5
+		eng.observeCacheWindow(h, m)
+	}
+	if got := g.Value(); got != 1 {
+		t.Fatalf("windowed ratio after aging out misses = %v, want 1", got)
 	}
 }

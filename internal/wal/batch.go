@@ -30,10 +30,11 @@ const (
 	// switch at the same point in the mutation order.
 	OpSetPolicy = "set_policy"
 	// OpSetConfig applies one PATCH /v1/config runtime-tuning patch
-	// (scheduler.ApplyConfigPatch): policy, approximate-solver routing and
-	// phase-reconciliation knobs in one atomic, logged application.
-	// Snapshots persist the resulting config, so compaction cannot lose a
-	// logged tuning change.
+	// (scheduler.ApplyConfigPatch): policy and approximate-solver routing
+	// in one atomic, logged application. Snapshots persist the resulting
+	// config, so compaction cannot lose a logged tuning change. Fields a
+	// patch from an older build carries that this one no longer knows are
+	// ignored on decode.
 	OpSetConfig = "set_config"
 )
 

@@ -381,3 +381,41 @@ func TestDiurnalAmplitudeClamped(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfWeightsZeroSkewUniform pins the skew=0 degenerate case: every
+// rank gets exactly 1/m — the uniform churn regime.
+func TestZipfWeightsZeroSkewUniform(t *testing.T) {
+	for _, m := range []int{1, 2, 7, 64} {
+		w := ZipfWeights(m, 0)
+		for i, v := range w {
+			if math.Abs(v-1/float64(m)) > 1e-15 {
+				t.Fatalf("ZipfWeights(%d, 0)[%d] = %g, want %g", m, i, v, 1/float64(m))
+			}
+		}
+	}
+}
+
+// TestChurnConfigEdges pins ChurnConfig's defaulting rules.
+func TestChurnConfigEdges(t *testing.T) {
+	// Zero config: everything defaults and generation succeeds.
+	ch := GenerateChurn(ChurnConfig{})
+	if len(ch.Ops) != 1024 {
+		t.Fatalf("default mutation count %d, want 1024", len(ch.Ops))
+	}
+	// Explicit tiny stream.
+	ch = GenerateChurn(ChurnConfig{Mutations: 1})
+	if len(ch.Ops) != 1 {
+		t.Fatalf("mutations=1 produced %d ops", len(ch.Ops))
+	}
+	// ZipfSkew=0 must behave as uniform (the documented default), not
+	// panic or degenerate: all components get some traffic over a long
+	// stream.
+	ch = GenerateChurn(ChurnConfig{Mutations: 4096, ZipfSkew: 0, Seed: 5})
+	comps := map[int]bool{}
+	for _, op := range ch.Ops {
+		comps[op.Component] = true
+	}
+	if len(comps) != 16 { // SparseConfig default component count
+		t.Fatalf("uniform churn hit %d components, want all 16", len(comps))
+	}
+}
