@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -251,36 +252,30 @@ func TestSnapshotOverAPI(t *testing.T) {
 	}
 }
 
-func TestQueuesOverAPI(t *testing.T) {
-	c, _ := newTestServer(t)
-	if err := c.AddQueue(context.Background(), "prod", 2); err != nil {
-		t.Fatal(err)
+// TestJobRegistrationRejectsUnknownFields: a registration body that names
+// a field the request does not have — here an older client's queue — is
+// refused with unknown_field, not accepted with the field dropped and the
+// job placed in the flat set.
+func TestJobRegistrationRejectsUnknownFields(t *testing.T) {
+	sc, srv := newDirectServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"id":"r","queue":"research","demand":[1,1]}`},
+		{"/v1/jobs:batch", `{"jobs":[{"id":"r","demand":[1,1]},{"id":"s","queue":"research","demand":[1,1]}]}`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		var resp ConfigPatchError
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || resp.Code != CodeInvalidArgument || len(resp.Fields) != 1 ||
+			resp.Fields[0].Field != "queue" || resp.Fields[0].Code != FieldCodeUnknownField {
+			t.Fatalf("POST %s %s: %d %s, want 400 naming field queue with code %q",
+				tc.path, tc.body, rec.Code, rec.Body.String(), FieldCodeUnknownField)
+		}
 	}
-	if err := c.AddQueue(context.Background(), "", 1); err == nil {
-		t.Fatal("empty queue name accepted")
-	}
-	if err := c.AddJob(context.Background(), AddJobRequest{ID: "p", Queue: "prod", Demand: []float64{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddJob(context.Background(), AddJobRequest{ID: "d", Demand: []float64{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// prod (weight 2) vs default (weight 1) on capacity 2: 4/3 vs 2/3.
-	p, err := c.Shares(context.Background(), "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Shares(context.Background(), "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.Aggregate-2*d.Aggregate) > 1e-6 {
-		t.Fatalf("queue weights over API: %g vs %g", p.Aggregate, d.Aggregate)
-	}
-	// Unknown queue -> 400.
-	err = c.AddJob(context.Background(), AddJobRequest{ID: "x", Queue: "ghost", Demand: []float64{1, 1}})
-	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown queue error %v", err)
+	if n := sc.Stats().Jobs; n != 0 {
+		t.Fatalf("rejected registrations added %d jobs", n)
 	}
 }
 

@@ -216,11 +216,6 @@ func (c *Client) AddJobs(ctx context.Context, jobs []AddJobRequest) (BatchAddRes
 	return out, err
 }
 
-// AddQueue declares a weighted queue.
-func (c *Client) AddQueue(ctx context.Context, name string, weight float64) error {
-	return c.do(ctx, http.MethodPost, "/v1/queues", AddQueueRequest{Name: name, Weight: weight}, nil)
-}
-
 // RemoveJob cancels a job.
 func (c *Client) RemoveJob(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)

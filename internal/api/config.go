@@ -85,7 +85,8 @@ type FieldError struct {
 }
 
 // ConfigPatchError is the PATCH /v1/config rejection body: the standard
-// error envelope plus the per-field breakdown. Nothing was applied.
+// error envelope plus the per-field breakdown. Nothing was applied. Job
+// registrations with an unknown field are rejected with the same body.
 type ConfigPatchError struct {
 	errorResponse
 	Fields []FieldError `json:"fields,omitempty"`
@@ -178,22 +179,11 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 // document. An empty patch is a no-op that returns the current document.
 func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 	var req ConfigPatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		// encoding/json reports an unknown field only as text; anything
-		// else is a plain malformed body.
-		if q, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
-			if name, uerr := strconv.Unquote(q); uerr == nil {
-				writeFieldErrors(w, []FieldError{{Field: name, Error: "no such config field", Code: FieldCodeUnknownField}})
-				return
-			}
-		}
-		writeError(w, err)
+	if !decodeStrict(w, r, &req, "config patch") {
 		return
 	}
 	if fields := req.validate(); len(fields) > 0 {
-		writeFieldErrors(w, fields)
+		writeFieldErrors(w, "config patch", fields)
 		return
 	}
 	if patch := req.Patch(); !patch.Empty() {
@@ -205,10 +195,35 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 	s.handleConfig(w, r)
 }
 
-func writeFieldErrors(w http.ResponseWriter, fields []FieldError) {
+func writeFieldErrors(w http.ResponseWriter, body string, fields []FieldError) {
 	writeJSON(w, http.StatusBadRequest, ConfigPatchError{
 		errorResponse: errorResponse{
-			Error: "config patch failed validation", Code: CodeInvalidArgument},
+			Error: body + " failed validation", Code: CodeInvalidArgument},
 		Fields: fields,
 	})
+}
+
+// decodeStrict decodes a request body that must not carry a field v's
+// type lacks — a typo, or a field this build no longer serves, which
+// would otherwise be dropped silently. An unknown field is answered 400
+// with a FieldError of code unknown_field, any other decode failure as a
+// malformed body. body names the request kind in the reply. It reports
+// whether v was decoded.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any, body string) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	// encoding/json reports an unknown field only as text; anything else
+	// is a plain malformed body.
+	if q, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		if name, uerr := strconv.Unquote(q); uerr == nil {
+			writeFieldErrors(w, body, []FieldError{{Field: name, Error: "no such field", Code: FieldCodeUnknownField}})
+			return false
+		}
+	}
+	writeError(w, err)
+	return false
 }

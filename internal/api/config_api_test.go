@@ -176,8 +176,8 @@ func TestConfigPatchRejectsUnknownFields(t *testing.T) {
 	sc, srv := newDirectServer(t)
 	before := sc.RuntimeConfig()
 	for _, tc := range []struct{ body, field string }{
-		{`{"polcy": "drf"}`, "polcy"},
-		{`{"policy": "drf", "phase": {"window": 16}}`, "phase"},
+		{`{"polcy": "psmmf"}`, "polcy"},
+		{`{"policy": "psmmf", "phase": {"window": 16}}`, "phase"},
 		{`{"solver": {"approx_epsilon": 0.1, "approx_epsilonn": 0.2}}`, "approx_epsilonn"},
 	} {
 		req := httptest.NewRequest(http.MethodPatch, "/v1/config", strings.NewReader(tc.body))

@@ -113,7 +113,7 @@ func TestBatchEndpointOneSolve(t *testing.T) {
 	resp, err := st.cl.AddJobs(ctx, []AddJobRequest{
 		{ID: "a", Demand: []float64{1, 0}},
 		{ID: "b", Demand: []float64{0, 1}},
-		{ID: "c", Demand: []float64{1, 1}, Weight: 2, Queue: ""},
+		{ID: "c", Demand: []float64{1, 1}, Weight: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

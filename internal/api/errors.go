@@ -18,7 +18,7 @@ const (
 	CodeInvalidArgument = "invalid_argument"
 	// CodeNotFound: the referenced job does not exist.
 	CodeNotFound = "not_found"
-	// CodeAlreadyExists: the job or queue is already registered.
+	// CodeAlreadyExists: the job is already registered.
 	CodeAlreadyExists = "already_exists"
 	// CodeUnavailable: the controller cannot take mutations right now —
 	// it is shutting down, its write-ahead log failed, or the request's

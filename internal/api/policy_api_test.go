@@ -31,26 +31,26 @@ func TestPolicyEndpointEngine(t *testing.T) {
 	if err := c.AddJob(ctx, AddJobRequest{ID: "a", Demand: []float64{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := setPolicy(ctx, c, "drf"); err != nil {
+	if err := setPolicy(ctx, c, "psmmf"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.PolicyName(); got != "drf" {
+	if got := eng.PolicyName(); got != "psmmf" {
 		t.Fatalf("engine policy %q after switch", got)
 	}
 	pr, err = c.Policy(ctx)
-	if err != nil || pr.Policy != "drf" {
+	if err != nil || pr.Policy != "psmmf" {
 		t.Fatalf("policy after switch = %+v, %v", pr, err)
 	}
 	cfg, err := c.Config(ctx)
-	if err != nil || cfg.Policy != "drf" {
+	if err != nil || cfg.Policy != "psmmf" {
 		t.Fatalf("config after switch = %+v, %v", cfg, err)
 	}
 	st, err := c.Stats(ctx)
-	if err != nil || st.Policy != "drf" {
+	if err != nil || st.Policy != "psmmf" {
 		t.Fatalf("stats after switch = %+v, %v", st, err)
 	}
 	alloc, err := c.Allocation(ctx)
-	if err != nil || alloc.Policy != "drf" {
+	if err != nil || alloc.Policy != "psmmf" {
 		t.Fatalf("allocation after switch policy = %q, %v", alloc.Policy, err)
 	}
 	if len(alloc.Jobs) != 1 {
@@ -65,7 +65,7 @@ func TestPolicyEndpointEngine(t *testing.T) {
 	if err := setPolicy(ctx, c, ""); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("empty policy err = %v, want ErrInvalidArgument", err)
 	}
-	if pr, _ := c.Policy(ctx); pr.Policy != "drf" {
+	if pr, _ := c.Policy(ctx); pr.Policy != "psmmf" {
 		t.Fatalf("failed switch changed policy to %q", pr.Policy)
 	}
 }
@@ -75,14 +75,14 @@ func TestPolicyEndpointEngine(t *testing.T) {
 func TestPolicyEndpointDirect(t *testing.T) {
 	c, sc := newTestServer(t)
 	ctx := context.Background()
-	if err := setPolicy(ctx, c, "propfair"); err != nil {
+	if err := setPolicy(ctx, c, "psmmf"); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := c.Policy(ctx)
-	if err != nil || pr.Policy != "propfair" {
+	if err != nil || pr.Policy != "psmmf" {
 		t.Fatalf("policy = %+v, %v", pr, err)
 	}
-	if got := sc.PolicyName(); got != "propfair" {
+	if got := sc.PolicyName(); got != "psmmf" {
 		t.Fatalf("scheduler policy %q after switch", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestPolicySwitchSurvivesCrash(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := setPolicy(ctx, st.cl, "drf"); err != nil {
+	if err := setPolicy(ctx, st.cl, "psmmf"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.cl.AddJob(ctx, AddJobRequest{ID: "c", Demand: []float64{1, 1}}); err != nil {
@@ -122,14 +122,14 @@ func TestPolicySwitchSurvivesCrash(t *testing.T) {
 	st.eng.Crash()
 
 	st2 := newDurableStack(t, dir)
-	if got := st2.sc.PolicyName(); got != "drf" {
-		t.Fatalf("recovered policy %q, want drf", got)
+	if got := st2.sc.PolicyName(); got != "psmmf" {
+		t.Fatalf("recovered policy %q, want psmmf", got)
 	}
 	after, err := st2.cl.Allocation(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Policy != "drf" {
+	if after.Policy != "psmmf" {
 		t.Fatalf("recovered allocation policy %q", after.Policy)
 	}
 	sameAllocations(t, "crash-recovery across policy switch", after, before)
@@ -150,7 +150,7 @@ func TestLegacySetPolicyRecordReplays(t *testing.T) {
 	if _, err := st.cl.AddJobs(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := setPolicy(ctx, st.cl, "drf"); err != nil {
+	if err := setPolicy(ctx, st.cl, "psmmf"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.cl.AddJob(ctx, AddJobRequest{ID: "c", Demand: []float64{1, 1}}); err != nil {
@@ -172,7 +172,7 @@ func TestLegacySetPolicyRecordReplays(t *testing.T) {
 	}
 	for _, batch := range [][]wal.Mutation{
 		{{Op: wal.OpAddJobs, Jobs: specs}},
-		{{Op: wal.OpSetPolicy, Policy: "drf"}},
+		{{Op: wal.OpSetPolicy, Policy: "psmmf"}},
 		{{Op: wal.OpAddJob, ID: "c", Demand: []float64{1, 1}}},
 	} {
 		payload, err := wal.EncodeBatch(batch)
@@ -191,14 +191,14 @@ func TestLegacySetPolicyRecordReplays(t *testing.T) {
 	}
 
 	legacy := newDurableStack(t, dir)
-	if got := legacy.sc.PolicyName(); got != "drf" {
-		t.Fatalf("recovered policy %q, want drf", got)
+	if got := legacy.sc.PolicyName(); got != "psmmf" {
+		t.Fatalf("recovered policy %q, want psmmf", got)
 	}
 	got, err := legacy.cl.Allocation(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Policy != "drf" {
+	if got.Policy != "psmmf" {
 		t.Fatalf("recovered allocation policy %q", got.Policy)
 	}
 	sameAllocations(t, "legacy set_policy replay", got, want)

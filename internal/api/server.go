@@ -24,8 +24,7 @@
 //	                                   runtime write path for the policy
 //	                                   and solver knobs
 //	GET    /v1/policy                  active fairness policy + valid names
-//	POST   /v1/queues                  declare a weighted queue
-//	POST   /v1/jobs                    register a job (optionally in a queue)
+//	POST   /v1/jobs                    register a job
 //	POST   /v1/jobs:batch              register many jobs atomically, one solve
 //	DELETE /v1/jobs/{id}               deregister (cancel) a job
 //	POST   /v1/jobs/{id}/progress     report completed work
@@ -102,9 +101,7 @@ const ParentHeader = "X-AMF-Parent-Span"
 // (mutations rejected, reads from the replayed view).
 type Backend interface {
 	AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error
-	AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error
 	AddJobs(ctx context.Context, specs []scheduler.JobSpec) error
-	AddQueue(ctx context.Context, name string, weight float64) error
 	RemoveJob(ctx context.Context, id string) error
 	ReportProgress(ctx context.Context, id string, done []float64) (bool, error)
 	UpdateWeight(ctx context.Context, id string, weight float64) error
@@ -150,12 +147,11 @@ type ExternalWeighter interface {
 var _ Backend = (*serve.Engine)(nil)
 var _ ExternalWeighter = (*serve.Engine)(nil)
 
-// AddJobRequest registers a job. Queue, when set, must name a queue
-// previously declared via POST /v1/queues.
+// AddJobRequest registers a job. The server rejects a body with any other
+// field (unknown_field).
 type AddJobRequest struct {
 	ID     string    `json:"id"`
 	Weight float64   `json:"weight,omitempty"`
-	Queue  string    `json:"queue,omitempty"`
 	Demand []float64 `json:"demand"`
 	Work   []float64 `json:"work,omitempty"`
 }
@@ -163,7 +159,7 @@ type AddJobRequest struct {
 // spec converts the wire form into the scheduler's job spec.
 func (r AddJobRequest) spec() scheduler.JobSpec {
 	return scheduler.JobSpec{
-		ID: r.ID, Weight: r.Weight, Queue: r.Queue,
+		ID: r.ID, Weight: r.Weight,
 		Demand: r.Demand, Work: r.Work,
 	}
 }
@@ -187,12 +183,6 @@ type BatchItemResult struct {
 type BatchAddResponse struct {
 	Added   int               `json:"added"`
 	Results []BatchItemResult `json:"results"`
-}
-
-// AddQueueRequest declares a queue with a weight.
-type AddQueueRequest struct {
-	Name   string  `json:"name"`
-	Weight float64 `json:"weight,omitempty"`
 }
 
 // ProgressRequest reports completed work per site.
@@ -312,7 +302,6 @@ func NewBackendServer(be Backend, reg *obs.Registry, capacity []float64, _ polic
 	s.route("GET /v1/policy", s.handleGetPolicy)
 	s.route("POST /v1/jobs", s.handleAddJob)
 	s.route("POST /v1/jobs:batch", s.handleAddJobsBatch)
-	s.route("POST /v1/queues", s.handleAddQueue)
 	s.route("DELETE /v1/jobs/{id}", s.handleRemoveJob)
 	s.route("POST /v1/jobs/{id}/progress", s.handleProgress)
 	s.route("PUT /v1/jobs/{id}/weight", s.handleWeight)
@@ -482,21 +471,14 @@ func (s *Server) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 	var req AddJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decodeStrict(w, r, &req, "job registration") {
 		return
 	}
 	if req.ID == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "job id required", Code: CodeInvalidArgument})
 		return
 	}
-	var err error
-	if req.Queue != "" {
-		err = s.sc.AddJobInQueue(r.Context(), req.Queue, req.ID, req.Weight, req.Demand, req.Work)
-	} else {
-		err = s.sc.AddJob(r.Context(), req.ID, req.Weight, req.Demand, req.Work)
-	}
-	if err != nil {
+	if err := s.sc.AddJob(r.Context(), req.ID, req.Weight, req.Demand, req.Work); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -510,8 +492,7 @@ func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 // offending entries without re-submitting blind.
 func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchAddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decodeStrict(w, r, &req, "job registration") {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -551,19 +532,6 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, err)
-}
-
-func (s *Server) handleAddQueue(w http.ResponseWriter, r *http.Request) {
-	var req AddQueueRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.sc.AddQueue(r.Context(), req.Name, req.Weight); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name})
 }
 
 func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request) {

@@ -140,7 +140,7 @@ func TestRouterConfigMixedPolicyRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := scs[1].SetPolicyName("drf"); err != nil {
+	if err := scs[1].SetPolicyName("psmmf"); err != nil {
 		t.Fatal(err)
 	}
 	err = r.ApplyConfig(ctx, scheduler.ConfigPatch{ApproxEpsilon: fptr(0.5)})

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -163,5 +164,39 @@ func getJSON(t *testing.T, url string, out interface{}) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouterRejectsUnknownJobFields: through the router's handler too, a
+// registration body naming a queue is refused with unknown_field instead
+// of routing the job with the queue dropped.
+func TestRouterRejectsUnknownJobFields(t *testing.T) {
+	caps := []float64{1, 1}
+	shards, scs := newEngineShards(t, 2, caps, policy.AMF)
+	router, err := cluster.NewRouter(shards, policy.AMF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cluster.NewHandler(router, nil, caps, policy.AMF)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"id":"r","queue":"research","demand":[1,0]}`},
+		{"/v1/jobs:batch", `{"jobs":[{"id":"r","demand":[1,0]},{"id":"s","queue":"research","demand":[0,1]}]}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		var resp api.ConfigPatchError
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || len(resp.Fields) != 1 ||
+			resp.Fields[0].Field != "queue" || resp.Fields[0].Code != api.FieldCodeUnknownField {
+			t.Fatalf("POST %s %s: %d %s, want 400 naming field queue with code %q",
+				tc.path, tc.body, rec.Code, rec.Body.String(), api.FieldCodeUnknownField)
+		}
+	}
+	for i, sc := range scs {
+		if n := sc.Stats().Jobs; n != 0 {
+			t.Fatalf("shard %d holds %d jobs after rejected registrations", i, n)
+		}
 	}
 }

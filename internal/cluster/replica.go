@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -178,6 +179,11 @@ func (r *Replica) run() {
 			r.cPollErrors.Inc()
 			msg := err.Error()
 			r.lastErr.Store(&msg)
+			if errors.Is(err, wal.ErrRetiredState) {
+				// The log can never be replayed past this record: stop
+				// polling and keep serving the last view published before it.
+				return
+			}
 		}
 		select {
 		case <-r.stop:
@@ -221,6 +227,10 @@ func (r *Replica) syncOnce(cur wal.Cursor, version uint64) (wal.Cursor, uint64, 
 			ms, err := wal.DecodeBatch(payload)
 			if tb != nil {
 				tb.Stage("decode", time.Since(t0))
+			}
+			if errors.Is(err, wal.ErrRetiredState) {
+				// Unpublished: the view stays at the poll before this one.
+				return cur, version, err
 			}
 			if err != nil {
 				r.cApplyFailed.Inc()
@@ -378,15 +388,7 @@ func (r *Replica) AddJob(ctx context.Context, id string, weight float64, demand,
 	return ErrReadOnly
 }
 
-func (r *Replica) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return ErrReadOnly
-}
-
 func (r *Replica) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error { return ErrReadOnly }
-
-func (r *Replica) AddQueue(ctx context.Context, name string, weight float64) error {
-	return ErrReadOnly
-}
 
 func (r *Replica) RemoveJob(ctx context.Context, id string) error { return ErrReadOnly }
 

@@ -29,9 +29,6 @@ var (
 	// more than one shard: admitting it would couple two shards' max-flow
 	// feasibility problems, which the decomposition cannot express.
 	ErrCrossShard = errors.New("cluster: job demand spans sites owned by different shards")
-	// ErrQueuesUnsupported rejects queue operations in cluster mode:
-	// hierarchical fairness needs a global queue view the shards don't have.
-	ErrQueuesUnsupported = errors.New("cluster: queues are not supported in sharded mode")
 	// ErrRestoreUnsupported rejects restore-through-the-router; restore
 	// shards individually instead.
 	ErrRestoreUnsupported = errors.New("cluster: restore through the router is unsupported; restore shards directly")
@@ -450,16 +447,6 @@ func (r *Router) AddJob(ctx context.Context, id string, weight float64, demand, 
 	return err
 }
 
-// AddJobInQueue is unsupported in cluster mode.
-func (r *Router) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return ErrQueuesUnsupported
-}
-
-// AddQueue is unsupported in cluster mode.
-func (r *Router) AddQueue(ctx context.Context, name string, weight float64) error {
-	return ErrQueuesUnsupported
-}
-
 // AddJobs routes a batch. Specs are grouped by target shard and each
 // group is registered atomically on its shard; when the batch spans
 // shards and a later group fails, already-registered groups are rolled
@@ -479,10 +466,6 @@ func (r *Router) AddJobs(ctx context.Context, specs []scheduler.JobSpec) (err er
 	siteSets := map[string][]int{}
 	t0 := time.Now()
 	for _, sp := range specs {
-		if sp.Queue != "" {
-			mark(tb, "route", t0)
-			return ErrQueuesUnsupported
-		}
 		if _, ok := r.jobShard[sp.ID]; ok || seen[sp.ID] {
 			mark(tb, "route", t0)
 			return fmt.Errorf("%w: %q", scheduler.ErrDuplicateJob, sp.ID)

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 )
 
 // newEngineShards builds n WAL-less engine shards, each over the full
@@ -120,22 +120,13 @@ func mustKey(t *testing.T, sites []int) uint64 {
 	return key
 }
 
-func TestRouterQueueAndRestoreUnsupported(t *testing.T) {
+func TestRouterRestoreUnsupported(t *testing.T) {
 	shards, _ := newEngineShards(t, 2, []float64{1, 1}, policy.AMF)
 	r, err := cluster.NewRouter(shards, policy.AMF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := r.AddQueue(ctx, "q", 2); !errors.Is(err, cluster.ErrQueuesUnsupported) {
-		t.Fatalf("AddQueue = %v", err)
-	}
-	if err := r.AddJobInQueue(ctx, "q", "j", 1, []float64{1, 0}, nil); !errors.Is(err, cluster.ErrQueuesUnsupported) {
-		t.Fatalf("AddJobInQueue = %v", err)
-	}
-	if err := r.AddJobs(ctx, []scheduler.JobSpec{{ID: "j", Queue: "q", Demand: []float64{1, 0}}}); !errors.Is(err, cluster.ErrQueuesUnsupported) {
-		t.Fatalf("AddJobs with queue = %v", err)
-	}
 	if err := r.Restore(ctx, scheduler.Snapshot{}); !errors.Is(err, cluster.ErrRestoreUnsupported) {
 		t.Fatalf("Restore = %v", err)
 	}

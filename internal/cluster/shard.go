@@ -208,7 +208,7 @@ func (s HTTPShard) AddJob(ctx context.Context, id string, weight float64, demand
 func (s HTTPShard) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
 	reqs := make([]api.AddJobRequest, len(specs))
 	for i, sp := range specs {
-		reqs[i] = api.AddJobRequest{ID: sp.ID, Weight: sp.Weight, Queue: sp.Queue, Demand: sp.Demand, Work: sp.Work}
+		reqs[i] = api.AddJobRequest{ID: sp.ID, Weight: sp.Weight, Demand: sp.Demand, Work: sp.Work}
 	}
 	_, err := s.Client.AddJobs(ctx, reqs)
 	return err

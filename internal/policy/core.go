@@ -9,8 +9,8 @@ import (
 // The paper's single-resource disciplines, exposed as Policy
 // implementations. They are thin stateless wrappers over the shared core
 // solver: the solver's own component decomposition, worker pool and
-// approximate fast path do the heavy lifting, so Stats stays non-Native
-// and the scheduler reads core.SolveStats directly.
+// approximate fast path do the heavy lifting, and the scheduler reads
+// core.SolveStats directly.
 var (
 	// AMF is aggregate max-min fairness, the paper's proposal.
 	AMF Policy = amfPolicy{}
@@ -29,13 +29,11 @@ func (amfPolicy) Name() string { return "amf" }
 func (amfPolicy) Capabilities() Capabilities {
 	return Capabilities{Incremental: true, Approx: true}
 }
-func (amfPolicy) Fingerprint() uint64 { return fnvString(fnvOffset, "amf") }
-func (amfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
+func (amfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	a, err := solverOf(v).AMF(v.Inst)
-	return a, Stats{}, err
+	return solverOf(v).AMF(v.Inst)
 }
 
 type jctPolicy struct{}
@@ -46,13 +44,11 @@ func (jctPolicy) Capabilities() Capabilities {
 	// fingerprint does not capture: from-scratch solves only.
 	return Capabilities{}
 }
-func (jctPolicy) Fingerprint() uint64 { return fnvString(fnvOffset, "amf+jct") }
-func (jctPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
+func (jctPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	a, err := solverOf(v).AMFWithJCT(v.Inst)
-	return a, Stats{}, err
+	return solverOf(v).AMFWithJCT(v.Inst)
 }
 
 type enhancedPolicy struct{}
@@ -61,26 +57,23 @@ func (enhancedPolicy) Name() string { return "amf-enhanced" }
 func (enhancedPolicy) Capabilities() Capabilities {
 	return Capabilities{Incremental: true, GlobalWeightFloors: true, Approx: true}
 }
-func (enhancedPolicy) Fingerprint() uint64 { return fnvString(fnvOffset, "amf-enhanced") }
-func (enhancedPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
+func (enhancedPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	a, err := solverOf(v).EnhancedAMF(v.Inst)
-	return a, Stats{}, err
+	return solverOf(v).EnhancedAMF(v.Inst)
 }
 
 type psmmfPolicy struct{}
 
 func (psmmfPolicy) Name() string               { return "psmmf" }
 func (psmmfPolicy) Capabilities() Capabilities { return Capabilities{} }
-func (psmmfPolicy) Fingerprint() uint64        { return fnvString(fnvOffset, "psmmf") }
-func (psmmfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, Stats, error) {
+func (psmmfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	if err := v.Inst.Validate(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	return core.PerSiteMMF(v.Inst), Stats{}, nil
+	return core.PerSiteMMF(v.Inst), nil
 }

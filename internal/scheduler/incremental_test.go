@@ -17,15 +17,13 @@ import (
 // instance keeps the sparse multi-component shape the incremental path
 // targets.
 type streamHarness struct {
-	t         *testing.T
-	inc, ref  *Scheduler
-	rng       *rand.Rand
-	blocks    int
-	spb       int
-	live      []string
-	next      int
-	queued    map[string]bool
-	numQueues int
+	t        *testing.T
+	inc, ref *Scheduler
+	rng      *rand.Rand
+	blocks   int
+	spb      int
+	live     []string
+	next     int
 	// freshRef, when set, builds a brand-new policy instance per compare:
 	// the serving-path allocation is additionally checked against a direct,
 	// cache-cold solve of the resolved instance.
@@ -37,8 +35,7 @@ func newStreamHarness(t *testing.T, rng *rand.Rand, pol policy.Policy, blocks, s
 }
 
 // newStreamHarnessPair gives the incremental and the from-scratch
-// controller separate policy instances, so a stateful policy's cache
-// (DRF) is never shared between the two sides being compared.
+// controller separate policy values.
 func newStreamHarnessPair(t *testing.T, rng *rand.Rand, pol, refPol policy.Policy, blocks, spb int) *streamHarness {
 	t.Helper()
 	caps := make([]float64, blocks*spb)
@@ -50,8 +47,7 @@ func newStreamHarnessPair(t *testing.T, rng *rand.Rand, pol, refPol policy.Polic
 		t.Fatal(err)
 	}
 	// The incremental solver only engages for policies that declare the
-	// capability; the "inc" controller still exercises whatever caching the
-	// policy itself owns (e.g. DRF's component result cache).
+	// capability.
 	if pol.Capabilities().Incremental != (inc.inc != nil) {
 		t.Fatalf("policy %s: incremental capability %v but solver installed = %v",
 			pol.Name(), pol.Capabilities().Incremental, inc.inc != nil)
@@ -63,7 +59,7 @@ func newStreamHarnessPair(t *testing.T, rng *rand.Rand, pol, refPol policy.Polic
 	if ref.inc != nil {
 		t.Fatal("DisableIncremental must force the from-scratch path")
 	}
-	return &streamHarness{t: t, inc: inc, ref: ref, rng: rng, blocks: blocks, spb: spb, queued: map[string]bool{}}
+	return &streamHarness{t: t, inc: inc, ref: ref, rng: rng, blocks: blocks, spb: spb}
 }
 
 func (h *streamHarness) blockDemand(b int) []float64 {
@@ -89,25 +85,6 @@ func (h *streamHarness) addJob() {
 	h.live = append(h.live, id)
 }
 
-func (h *streamHarness) addQueuedJob() {
-	q := fmt.Sprintf("q%d", h.rng.Intn(2))
-	h.numQueues++
-	id := fmt.Sprintf("j%d", h.next)
-	h.next++
-	demand := h.blockDemand(h.rng.Intn(h.blocks))
-	w := 0.5 + h.rng.Float64()*3.5
-	for _, sc := range []*Scheduler{h.inc, h.ref} {
-		if err := sc.AddQueue(q, 2); err != nil {
-			h.t.Fatal(err)
-		}
-		if err := sc.AddJobInQueue(q, id, w, demand, nil); err != nil {
-			h.t.Fatal(err)
-		}
-	}
-	h.live = append(h.live, id)
-	h.queued[id] = true
-}
-
 func (h *streamHarness) removeJob() {
 	if len(h.live) == 0 {
 		return
@@ -120,7 +97,6 @@ func (h *streamHarness) removeJob() {
 		}
 	}
 	h.live = append(h.live[:i], h.live[i+1:]...)
-	delete(h.queued, id)
 }
 
 func (h *streamHarness) updateWeight() {
@@ -160,7 +136,6 @@ func (h *streamHarness) reportProgress() {
 	}
 	if completed {
 		h.live = append(h.live[:i], h.live[i+1:]...)
-		delete(h.queued, id)
 	}
 }
 
@@ -207,7 +182,7 @@ func (h *streamHarness) compare(tag string) {
 	}
 	// Same solver configuration as the controllers' default (New sets
 	// SkipJCTRefine), so the only variable is the policy instance's state.
-	direct, _, err := h.freshRef().Allocate(context.Background(),
+	direct, err := h.freshRef().Allocate(context.Background(),
 		&policy.View{Inst: inIn, Solver: &core.Solver{SkipJCTRefine: true}})
 	if err != nil {
 		h.t.Fatalf("%s: fresh-policy solve: %v", tag, err)
@@ -263,11 +238,9 @@ func TestIncrementalSchedulerEquivalenceStreams(t *testing.T) {
 }
 
 // TestIncrementalSchedulerLongStream runs one long stream of 500+
-// mutations including queue operations: enqueued jobs force the
-// hierarchical (non-incremental) solve path, and their completion drops
-// the controller back to the incremental path — the dirty set must
-// survive the round trip so the incremental solver revalidates everything
-// that changed while it was bypassed.
+// mutations — adds, removals, weight updates, progress with site
+// exhaustion and completion, tombstone compaction — and compares the
+// incremental controller with the from-scratch one after every step.
 func TestIncrementalSchedulerLongStream(t *testing.T) {
 	const mutations = 520
 	rng := rand.New(rand.NewSource(777))
@@ -285,23 +258,9 @@ func TestIncrementalSchedulerLongStream(t *testing.T) {
 		case 2, 3:
 			h.updateWeight()
 		case 4:
-			h.addQueuedJob() // flips both controllers onto the hierarchical path
+			h.addJob()
 		case 5:
-			// Drain the queues so the controllers drop back to flat solving.
-			for id := range h.queued {
-				for _, sc := range []*Scheduler{h.inc, h.ref} {
-					if err := sc.RemoveJob(id); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i, l := range h.live {
-					if l == id {
-						h.live = append(h.live[:i], h.live[i+1:]...)
-						break
-					}
-				}
-				delete(h.queued, id)
-			}
+			h.removeJob()
 		default:
 			h.reportProgress()
 		}
@@ -342,20 +301,16 @@ func TestProgressToleranceLargeWork(t *testing.T) {
 	}
 }
 
-// TestTelemetryResetWithoutCoreSolve is the stale-telemetry regression: a
-// hierarchical solve (queued jobs) runs the core solver and records
-// decomposition numbers; after the queues drain, a PS-MMF flat solve never
-// enters the core solver — the previous numbers are stale and must read
-// zero, not linger.
+// TestTelemetryResetWithoutCoreSolve is the stale-telemetry regression: an
+// AMF solve runs the core solver and records decomposition numbers; after
+// a switch to PS-MMF, the flat solve never enters the core solver — the
+// previous numbers are stale and must read zero, not linger.
 func TestTelemetryResetWithoutCoreSolve(t *testing.T) {
-	sc, err := New(Config{SiteCapacity: []float64{1, 1}, Policy: policy.PSMMF})
+	sc, err := New(Config{SiteCapacity: []float64{1, 1}, Policy: policy.AMF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.AddQueue("q", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.AddJobInQueue("q", "a", 1, []float64{1, 0}, nil); err != nil {
+	if err := sc.AddJob("a", 1, []float64{1, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.AddJob("b", 1, []float64{0, 1}, nil); err != nil {
@@ -365,9 +320,9 @@ func TestTelemetryResetWithoutCoreSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := sc.Stats(); st.LastComponents == 0 {
-		t.Fatalf("hierarchical solve should run the core solver: %+v", st)
+		t.Fatalf("AMF solve should run the core solver: %+v", st)
 	}
-	if err := sc.RemoveJob("a"); err != nil { // queue drained
+	if err := sc.SetPolicy(policy.PSMMF); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.Allocation(); err != nil { // flat PS-MMF: no core solver

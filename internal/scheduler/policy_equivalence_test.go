@@ -143,11 +143,11 @@ func TestSchedulerSetPolicyNameErrors(t *testing.T) {
 	if err := sc.SetPolicyName("amf"); err != nil {
 		t.Fatalf("same-policy switch: %v", err)
 	}
-	if err := sc.SetPolicyName("drf"); err != nil {
+	if err := sc.SetPolicyName("psmmf"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.PolicyName(); got != "drf" {
-		t.Fatalf("PolicyName %q, want drf", got)
+	if got := sc.PolicyName(); got != "psmmf" {
+		t.Fatalf("PolicyName %q, want psmmf", got)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestSnapshotPolicyMismatchRefused(t *testing.T) {
 		t.Fatalf("snapshot policy %q, want amf", snap.Policy)
 	}
 
-	dst, err := New(Config{SiteCapacity: []float64{2, 2}, Policy: mustPolicy(t, "drf")})
+	dst, err := New(Config{SiteCapacity: []float64{2, 2}, Policy: mustPolicy(t, "psmmf")})
 	if err != nil {
 		t.Fatal(err)
 	}

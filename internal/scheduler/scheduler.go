@@ -12,8 +12,8 @@
 // declare incremental support (AMF, Enhanced AMF) re-solve through
 // core.IncrementalSolver — only the connected components the dirty jobs
 // belong to are re-solved, the rest are spliced from carried or cached
-// results — while the rest solve from scratch (DRF brings its own
-// policy-owned component cache). All methods are safe for concurrent use.
+// results — while the rest (AMF+JCT, PS-MMF) solve from scratch. All
+// methods are safe for concurrent use.
 //
 // What a solve hands out is carried, not rebuilt: the instance view is a
 // cached shell patched copy-on-write per mutation, and on the incremental
@@ -51,8 +51,7 @@ type Config struct {
 	// SiteCapacity is the per-site resource capacity (required).
 	SiteCapacity []float64
 	// Policy selects the allocation discipline (default policy.AMF). Use
-	// policy.ForName to construct one from its wire name; stateful policies
-	// (DRF's result cache) must not be shared across controllers.
+	// policy.ForName to look one up by its wire name.
 	Policy policy.Policy
 	// Solver overrides the default core solver.
 	Solver *core.Solver
@@ -80,8 +79,6 @@ type Config struct {
 type Job struct {
 	ID     string  `json:"id"`
 	Weight float64 `json:"weight"`
-	// Queue is the named queue the job belongs to ("" = default queue).
-	Queue string `json:"queue,omitempty"`
 	// Demand[s] is the job's maximum useful parallelism at site s.
 	Demand []float64 `json:"demand"`
 	// Remaining[s] is the outstanding work at site s; when it reaches zero
@@ -172,12 +169,11 @@ type Scheduler struct {
 	// existence. fair is the fairness partial of exactly these rows.
 	shares map[string][]float64
 	fair   fairness.Partial
-	// dirty is the set of job IDs mutated since the incremental solver
-	// last ran; needSolve records whether any mutation happened since the
-	// last solve of any kind. The hierarchical fallback clears needSolve
-	// but deliberately keeps dirty: it tracks what the incremental solver
-	// has not yet seen. The flat path (no incremental solver exists)
-	// clears both — a later policy switch re-marks every live job itself.
+	// dirty is the set of job IDs mutated since the last solve: the delta
+	// the incremental solver is owed (the flat path drops it). needSolve
+	// records whether anything the allocation depends on changed since the
+	// last solve — a superset of dirty, since removals, the external weight
+	// and the solver knobs change it without dirtying a job.
 	dirty     map[string]bool
 	needSolve bool
 	inc       *core.IncrementalSolver
@@ -187,8 +183,8 @@ type Scheduler struct {
 	// incSynced records that shares was installed from the incremental
 	// solver's records and from nothing else since, so the next
 	// incremental solve may carry the map forward and overwrite only what
-	// that solve changed. Any other install (flat, hierarchical, restore)
-	// or a failed solve clears it, and the next install is a full one.
+	// that solve changed. Any other install (flat, restore) or a failed
+	// solve clears it, and the next install is a full one.
 	incSynced bool
 	capRow    []float64 // immutable capacity row shared by all views
 	// view is the cached instance shell (nil: rebuild on next use). It is
@@ -203,9 +199,6 @@ type Scheduler struct {
 	externalWeight float64
 	stats          Stats
 	lastSeq        uint64 // core SolveStats.Seq already folded into stats
-
-	queueWeight map[string]float64 // declared queues (see queues.go)
-	jobQueue    map[string]string  // job -> queue ("" = default)
 }
 
 // New returns an empty controller.
@@ -250,8 +243,8 @@ func New(cfg Config) (*Scheduler, error) {
 // the current policy's declared capabilities. Policies whose shares
 // depend only on weights, demands and capacities — all captured by the
 // component fingerprint — declare Incremental and ride the dirty-set
-// path; the rest (AMF+JCT's work-dependent split, PS-MMF, DRF, propfair)
-// solve from scratch, DRF through its own policy-owned result cache.
+// path; the rest (AMF+JCT's work-dependent split, PS-MMF) solve from
+// scratch.
 func (sc *Scheduler) installIncrementalLocked() {
 	caps := sc.cfg.Policy.Capabilities()
 	if !sc.cfg.DisableIncremental && caps.Incremental {
@@ -321,7 +314,7 @@ func (sc *Scheduler) SetPolicyName(name string) error {
 // a clean break: all carried incremental state is dropped, every live job
 // is marked dirty, and the next query runs a full resolve under the new
 // policy — no row computed under the old discipline can survive. Setting
-// a policy with the old one's name and fingerprint is a no-op.
+// the active policy again is a no-op.
 func (sc *Scheduler) SetPolicy(p policy.Policy) error {
 	if p == nil {
 		return fmt.Errorf("scheduler: nil policy")
@@ -334,7 +327,7 @@ func (sc *Scheduler) SetPolicy(p policy.Policy) error {
 
 func (sc *Scheduler) setPolicyLocked(p policy.Policy) {
 	old := sc.cfg.Policy
-	if p.Name() == old.Name() && p.Fingerprint() == old.Fingerprint() {
+	if p.Name() == old.Name() {
 		return
 	}
 	sc.cfg.Policy = p
@@ -372,10 +365,8 @@ func (sc *Scheduler) markStaleLocked(id string) {
 // JobSpec describes one job registration: the argument form shared by
 // AddJob, the atomic bulk AddJobs, and the WAL's logged mutations.
 type JobSpec struct {
-	ID     string  `json:"id"`
-	Weight float64 `json:"weight,omitempty"`
-	// Queue, when non-empty, must name a queue declared via AddQueue.
-	Queue  string    `json:"queue,omitempty"`
+	ID     string    `json:"id"`
+	Weight float64   `json:"weight,omitempty"`
 	Demand []float64 `json:"demand"`
 	// Work may be nil, meaning work == demand.
 	Work []float64 `json:"work,omitempty"`
@@ -403,11 +394,6 @@ func (sc *Scheduler) validateSpecLocked(sp JobSpec) error {
 			return fmt.Errorf("scheduler: job %q invalid demand %g at site %d", sp.ID, d, s)
 		}
 	}
-	if sp.Queue != "" {
-		if _, declared := sc.queueWeight[sp.Queue]; !declared {
-			return fmt.Errorf("scheduler: unknown queue %q", sp.Queue)
-		}
-	}
 	return nil
 }
 
@@ -428,12 +414,6 @@ func (sc *Scheduler) addSpecLocked(sp JobSpec) {
 		j.Remaining = append([]float64(nil), sp.Demand...)
 	}
 	sc.jobs[sp.ID] = j
-	if sp.Queue != "" {
-		if sc.jobQueue == nil {
-			sc.jobQueue = map[string]string{}
-		}
-		sc.jobQueue[sp.ID] = sp.Queue
-	}
 	sc.orderIdx[sp.ID] = len(sc.order)
 	sc.order = append(sc.order, sp.ID)
 	sc.markDirtyLocked(sp.ID)
@@ -519,16 +499,14 @@ func (sc *Scheduler) RemoveJob(id string) error {
 
 func (sc *Scheduler) removeLocked(id string) {
 	delete(sc.jobs, id)
-	delete(sc.jobQueue, id)
 	delete(sc.dirty, id) // a removal is its own entry in the solver's delta
 	sc.view = nil        // rows shift: the shell is rebuilt on next use
 	if sc.inc != nil {
 		sc.removed = append(sc.removed, id)
 		// The list is consumed by the next incremental solve. If none
-		// comes (the hierarchical path is active, or nobody reads) it must
-		// not grow with every removal forever: past a couple of job-set
-		// turnovers, dropping the solver's carried state is cheaper than
-		// describing what left it.
+		// comes (nobody reads) it must not grow with every removal
+		// forever: past a couple of job-set turnovers, dropping the
+		// solver's carried state is cheaper than describing what left it.
 		if len(sc.removed) > 2*len(sc.order)+64 {
 			sc.inc.Reset()
 			sc.removed = nil
@@ -922,17 +900,11 @@ func (sc *Scheduler) solveLocked() error {
 	}
 	start := time.Now()
 	in := sc.viewLocked()
-	incremental := false
-	var pst policy.Stats
 	var err error
-	switch {
-	case sc.queuedLocked():
-		err = sc.solveHierarchicalLocked(in)
-	case sc.inc != nil:
-		incremental = true
+	if sc.inc != nil {
 		err = sc.solveIncrementalLocked(in)
-	default:
-		pst, err = sc.solveFlatLocked(in)
+	} else {
+		err = sc.solveFlatLocked(in)
 	}
 	if err != nil {
 		return err
@@ -940,7 +912,7 @@ func (sc *Scheduler) solveLocked() error {
 	d := time.Since(start)
 	sc.stats.LastSolve = d
 	sc.stats.TotalSolveTime += d
-	sc.updateSolveTelemetryLocked(incremental, pst)
+	sc.updateSolveTelemetryLocked()
 	if sc.cfg.OnSolve != nil {
 		sc.cfg.OnSolve(d)
 	}
@@ -951,11 +923,8 @@ func (sc *Scheduler) solveLocked() error {
 // Stats. The core solver's Seq counter distinguishes "the solver ran and
 // recorded fresh numbers" from "this solve never entered the core solver"
 // (PS-MMF, empty job set): in the latter case the previous solve's
-// numbers are stale and must be reset, not carried. Policies that manage
-// their own decomposition and result cache (DRF) bypass the core solver
-// entirely and report Native policy.Stats instead, which take the same
-// Stats slots so /v1/stats and the metrics read uniformly.
-func (sc *Scheduler) updateSolveTelemetryLocked(incremental bool, pst policy.Stats) {
+// numbers are stale and must be reset, not carried.
+func (sc *Scheduler) updateSolveTelemetryLocked() {
 	ss := sc.cfg.Solver.LastStats()
 	ran := ss.Seq != sc.lastSeq
 	sc.lastSeq = ss.Seq
@@ -967,14 +936,6 @@ func (sc *Scheduler) updateSolveTelemetryLocked(incremental bool, pst policy.Sta
 		sc.stats.LastResolved = 0
 		sc.stats.LastApproxComponents = 0
 		sc.stats.LastApproxErrorBound = 0
-		if pst.Native {
-			sc.stats.LastComponents = pst.Components
-			sc.stats.LastLargestComponent = pst.Largest
-			sc.stats.LastReused = pst.Reused
-			sc.stats.LastResolved = pst.Resolved
-			sc.stats.CacheHits = pst.CacheHits
-			sc.stats.CacheMisses = pst.CacheMisses
-		}
 		return
 	}
 	sc.stats.LastComponents = ss.Components
@@ -982,7 +943,7 @@ func (sc *Scheduler) updateSolveTelemetryLocked(incremental bool, pst policy.Sta
 	sc.stats.LastSpeedup = ss.Speedup
 	sc.stats.LastApproxComponents = ss.ApproxComponents
 	sc.stats.LastApproxErrorBound = ss.ApproxErrorBound
-	if incremental {
+	if sc.inc != nil {
 		ist := sc.inc.LastStats()
 		sc.stats.LastReused = ist.Reused + ist.CacheHits
 		sc.stats.LastResolved = ist.Solved
@@ -997,9 +958,7 @@ func (sc *Scheduler) updateSolveTelemetryLocked(incremental bool, pst policy.Sta
 }
 
 // solveIncrementalLocked re-solves only the components touched by the
-// accumulated dirty set. It consumes the dirty set on success: fallback
-// solves (hierarchical) leave it intact so the incremental solver sees
-// every change that happened while another path was active.
+// accumulated dirty set, and consumes it on success.
 func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	changed := make([]string, 0, len(sc.dirty))
 	for id := range sc.dirty {
@@ -1020,28 +979,27 @@ func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	return nil
 }
 
-func (sc *Scheduler) solveFlatLocked(in *core.Instance) (policy.Stats, error) {
-	alloc, pst, err := sc.cfg.Policy.Allocate(context.Background(),
+// solveFlatLocked solves the whole view from scratch under the policy. It
+// only runs when no incremental solver exists, so nothing would ever
+// consume the dirty set: it is dropped (a later policy switch re-marks
+// every live job itself).
+func (sc *Scheduler) solveFlatLocked(in *core.Instance) error {
+	alloc, err := sc.cfg.Policy.Allocate(context.Background(),
 		&policy.View{Inst: in, Solver: sc.cfg.Solver})
 	if err != nil {
-		return pst, fmt.Errorf("scheduler: %w", err)
+		return fmt.Errorf("scheduler: %w", err)
 	}
 	sc.stats.Solves++
 	sc.installSharesLocked(in, alloc.Share)
-	// The flat path only runs when no incremental solver exists (see
-	// solveLocked), so nothing will ever consume the accumulated dirty
-	// set: clear it. Leaving it to grow was the PR 3 behavior — harmless
-	// then, but a runtime policy switch now re-marks every live job
-	// itself (SetPolicy), so an unconsumed dirty set is pure leak.
 	clear(sc.dirty)
 	sc.needSolve = false
-	return pst, nil
+	return nil
 }
 
 // installSharesLocked replaces the share map with a whole allocation's
 // rows (share[i] belongs to in.JobName[i]) and summarizes their fairness
 // partial — the install of the paths that produce every row at once
-// (flat policies, hierarchical queues). Rows are installed by reference
+// (flat policies, the empty job set). Rows are installed by reference
 // and treated as immutable from here on: the allocator made them fresh.
 func (sc *Scheduler) installSharesLocked(in *core.Instance, share [][]float64) {
 	sc.shares = make(map[string][]float64, len(in.JobName))

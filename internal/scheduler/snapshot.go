@@ -7,8 +7,8 @@ import (
 	"math"
 )
 
-// Snapshot is the serializable state of a controller: the live job set
-// and the declared queues. Configuration (capacities) is not part of the
+// Snapshot is the serializable state of a controller: the live job set.
+// Configuration (capacities) is not part of the
 // snapshot — it belongs to the deployment, not the state. The active
 // policy's name IS recorded, as a header: an allocation state only means
 // what its discipline says it means, so Restore (and therefore WAL
@@ -20,8 +20,6 @@ type Snapshot struct {
 	// compatibility).
 	Policy string `json:"policy,omitempty"`
 	Jobs   []Job  `json:"jobs"`
-	// Queues maps declared queue names to their weights.
-	Queues map[string]float64 `json:"queues,omitempty"`
 	// ExternalWeight is the cluster router's weight-sum broadcast value in
 	// effect when the snapshot was taken (zero standalone); restoring it
 	// keeps replica replay and compacted-WAL recovery deterministic.
@@ -54,12 +52,6 @@ func (sc *Scheduler) Snapshot() Snapshot {
 			ApproxThreshold: sc.cfg.Solver.ApproxThreshold,
 		},
 	}
-	if len(sc.queueWeight) > 0 {
-		snap.Queues = make(map[string]float64, len(sc.queueWeight))
-		for q, w := range sc.queueWeight {
-			snap.Queues[q] = w
-		}
-	}
 	for _, id := range sc.order {
 		if id == "" { // removal tombstone
 			continue
@@ -68,7 +60,6 @@ func (sc *Scheduler) Snapshot() Snapshot {
 		snap.Jobs = append(snap.Jobs, Job{
 			ID:        j.ID,
 			Weight:    j.Weight,
-			Queue:     sc.jobQueue[id],
 			Demand:    append([]float64(nil), j.Demand...),
 			Remaining: append([]float64(nil), j.Remaining...),
 		})
@@ -109,12 +100,6 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 			return fmt.Errorf("scheduler: snapshot contains duplicate job %q", j.ID)
 		}
 		seen[j.ID] = true
-		if j.Queue != "" {
-			if _, ok := snap.Queues[j.Queue]; !ok {
-				return fmt.Errorf("scheduler: snapshot job %q references undeclared queue %q",
-					j.ID, j.Queue)
-			}
-		}
 	}
 	if sc.inc != nil {
 		// Every job the incremental solver holds leaves with the old set
@@ -130,16 +115,8 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 	sc.orderIdx = make(map[string]int, len(snap.Jobs))
 	sc.holes = 0
 	sc.shares = map[string][]float64{}
-	sc.jobQueue = map[string]string{}
-	sc.queueWeight = map[string]float64{}
 	sc.dirty = make(map[string]bool, len(snap.Jobs))
 	sc.externalWeight = snap.ExternalWeight
-	for q, w := range snap.Queues {
-		if w <= 0 {
-			w = 1
-		}
-		sc.queueWeight[q] = w
-	}
 	for _, j := range snap.Jobs {
 		w := j.Weight
 		if w <= 0 {
@@ -150,9 +127,6 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 			Weight:    w,
 			Demand:    append([]float64(nil), j.Demand...),
 			Remaining: append([]float64(nil), j.Remaining...),
-		}
-		if j.Queue != "" {
-			sc.jobQueue[j.ID] = j.Queue
 		}
 		sc.orderIdx[j.ID] = len(sc.order)
 		sc.order = append(sc.order, j.ID)

@@ -54,7 +54,7 @@ func checkCachedView(t *testing.T, tag string, sc *Scheduler) {
 // TestCachedViewMatchesFreshBuildLongStream replays the long mixed stream
 // of TestIncrementalSchedulerLongStream (same seed and op mix — adds,
 // removals, weight updates, progress with site exhaustion and completion,
-// queue round trips, tombstone compaction — plus external-weight changes)
+// tombstone compaction — plus external-weight changes)
 // and after every mutation — both before and after the re-solve — compares
 // the cached shell with a fresh build, on the incremental and on the
 // from-scratch controller.
@@ -76,17 +76,9 @@ func TestCachedViewMatchesFreshBuildLongStream(t *testing.T) {
 		case 2, 3:
 			h.updateWeight()
 		case 4:
-			h.addQueuedJob()
+			h.addJob()
 		case 5:
-			for id := range h.queued {
-				for _, sc := range []*Scheduler{h.inc, h.ref} {
-					if err := sc.RemoveJob(id); err != nil {
-						t.Fatal(err)
-					}
-				}
-				h.live = slices.DeleteFunc(h.live, func(l string) bool { return l == id })
-				delete(h.queued, id)
-			}
+			h.removeJob()
 		case 6:
 			w := h.rng.Float64() * 3
 			for _, sc := range []*Scheduler{h.inc, h.ref} {
@@ -144,11 +136,10 @@ func denseFairness(in *core.Instance, shares map[string][]float64) (jain, mn, mx
 
 // TestViewFairnessMatchesDenseAcrossPaths: the fairness summary a
 // ResolveView carries equals a dense recomputation over the same view's
-// rows on every solve path — incremental (reduced per component), flat
-// policies and hierarchical queues (computed at install), and the round
-// trips between them — after every mutation of the long stream.
+// rows on both solve paths — incremental (reduced per component) and flat
+// policies (computed at install) — after every mutation of the long stream.
 func TestViewFairnessMatchesDenseAcrossPaths(t *testing.T) {
-	for _, name := range []string{"amf", "amf-enhanced", "drf", "psmmf"} {
+	for _, name := range []string{"amf", "amf-enhanced", "amf+jct", "psmmf"} {
 		pol, err := policy.ForName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -165,17 +156,9 @@ func TestViewFairnessMatchesDenseAcrossPaths(t *testing.T) {
 			case 3, 4:
 				h.updateWeight()
 			case 5:
-				h.addQueuedJob()
+				h.addJob()
 			case 6:
-				for id := range h.queued {
-					for _, sc := range []*Scheduler{h.inc, h.ref} {
-						if err := sc.RemoveJob(id); err != nil {
-							t.Fatal(err)
-						}
-					}
-					h.live = slices.DeleteFunc(h.live, func(l string) bool { return l == id })
-					delete(h.queued, id)
-				}
+				h.removeJob()
 			default:
 				h.reportProgress()
 			}

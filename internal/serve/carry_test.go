@@ -109,7 +109,7 @@ func (d *churnDriver) step() {
 
 // TestFairnessGaugesMatchDenseReference is the property behind deleting
 // the engine's dense gauge walk: over 200 random churn streams — AMF and
-// Enhanced AMF (partials reduced per component) and DRF (one partial at
+// Enhanced AMF (partials reduced per component) and PS-MMF (one partial at
 // install) — the three fairness.* gauges equal a dense recomputation from
 // the published rows to 1e-12 relative after EVERY commit, through merges,
 // splits, zero-demand jobs, all-zero capacities (zero total allocation)
@@ -118,7 +118,7 @@ func TestFairnessGaugesMatchDenseReference(t *testing.T) {
 	const streams, commits = 200, 24
 	rng := rand.New(rand.NewSource(2026))
 	for stream := 0; stream < streams; stream++ {
-		name := []string{"amf", "amf-enhanced", "drf"}[stream%3]
+		name := []string{"amf", "amf-enhanced", "psmmf"}[stream%3]
 		pol, err := policy.ForName(name)
 		if err != nil {
 			t.Fatal(err)

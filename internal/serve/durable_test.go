@@ -112,13 +112,10 @@ func TestEngineDurableCrashReplay(t *testing.T) {
 	eng := newDurableEngine(t, dir, Config{})
 	ctx := context.Background()
 
-	if err := eng.AddQueue(ctx, "prod", 2); err != nil {
-		t.Fatal(err)
-	}
 	if err := eng.AddJob(ctx, "a", 1, []float64{4, 0, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AddJobInQueue(ctx, "prod", "p", 1, []float64{0, 4, 0}, nil); err != nil {
+	if err := eng.AddJob(ctx, "p", 1, []float64{0, 4, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.AddJobs(ctx, []scheduler.JobSpec{
@@ -198,13 +195,10 @@ func TestEngineReplayAfterCrashProperty(t *testing.T) {
 	type step func(ctx context.Context, e *Engine) error
 	steps := []step{
 		func(ctx context.Context, e *Engine) error {
-			return e.AddQueue(ctx, "q", 2)
-		},
-		func(ctx context.Context, e *Engine) error {
 			return e.AddJob(ctx, "a", 1, []float64{4, 0, 0}, []float64{16, 0, 0})
 		},
 		func(ctx context.Context, e *Engine) error {
-			return e.AddJobInQueue(ctx, "q", "b", 1, []float64{0, 4, 0}, nil)
+			return e.AddJob(ctx, "b", 1, []float64{0, 4, 0}, nil)
 		},
 		func(ctx context.Context, e *Engine) error {
 			return e.AddJobs(ctx, []scheduler.JobSpec{
@@ -334,6 +328,9 @@ func TestEngineWALFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	version := eng.Current().Version
+	if got := reg.Gauge("engine.wal_failed").Value(); got != 0 {
+		t.Fatalf("engine.wal_failed = %g on a healthy log", got)
+	}
 
 	fail = true
 	if err := eng.AddJob(ctx, "doomed", 1, []float64{0, 1, 1}, nil); !errors.Is(err, ErrWALFailed) {
@@ -351,6 +348,9 @@ func TestEngineWALFailStop(t *testing.T) {
 	}
 	if got := reg.Counter("wal.errors_total").Value(); got == 0 {
 		t.Fatal("wal.errors_total not incremented")
+	}
+	if got := reg.Gauge("engine.wal_failed").Value(); got != 1 {
+		t.Fatalf("engine.wal_failed = %g after the fail-stop, want 1", got)
 	}
 
 	// Recovery is bounded by the failed batch: the acknowledged mutation is

@@ -6,7 +6,7 @@
 // Three mechanisms do the work:
 //
 //   - Group-committed mutations. Mutations (add/remove/progress/weight,
-//     queue declarations, bulk registrations, snapshot restores) are
+//     bulk registrations, config patches, snapshot restores) are
 //     enqueued to a single committer goroutine, which drains whatever is
 //     pending — bounded by MaxBatch and optionally stretched by
 //     BatchWindow — applies the whole batch to the scheduler, and
@@ -290,6 +290,7 @@ type Engine struct {
 	gMaxShare    *obs.Gauge
 	gApproxComp  *obs.Gauge
 	gApproxErr   *obs.Gauge
+	gWALFailed   *obs.Gauge
 	// stageHists caches the engine.stage.<name> histograms for the known
 	// stage names; unknown names fall back to a (thread-safe) registry
 	// lookup.
@@ -357,6 +358,7 @@ func New(sc *scheduler.Scheduler, cfg Config) (*Engine, error) {
 	e.gMaxShare = reg.Gauge("fairness.max_normalized_share")
 	e.gApproxComp = reg.Gauge("engine.approx_components")
 	e.gApproxErr = reg.Gauge("engine.approx_error_bound")
+	e.gWALFailed = reg.Gauge("engine.wal_failed")
 	e.stageHists = make(map[string]*obs.Histogram)
 	for _, s := range []string{
 		stageQueueWait, stageApply, stageWALEncode, stagePublish,
@@ -810,13 +812,19 @@ func (e *Engine) logBatch(recs []wal.Mutation) error {
 // the last acknowledged (and recoverable) state.
 func (e *Engine) failWAL(batch []*op, err error) {
 	e.mWALErrs.Inc()
-	e.walFailed.Store(true)
+	e.markWALFailed()
 	werr := fmt.Errorf("%w: %v", ErrWALFailed, err)
 	for _, o := range batch {
 		if o.err == nil {
 			o.err = werr
 		}
 	}
+}
+
+// markWALFailed trips the durability fail-stop and its gauge.
+func (e *Engine) markWALFailed() {
+	e.walFailed.Store(true)
+	e.gWALFailed.Set(1)
 }
 
 // maybeCompact folds the log once the record tail outgrows CompactBytes.
@@ -844,7 +852,7 @@ func (e *Engine) compactNow() {
 	}
 	if err := e.cfg.Log.Compact(state); err != nil {
 		e.mWALErrs.Inc()
-		e.walFailed.Store(true)
+		e.markWALFailed()
 		return
 	}
 	e.mCompacts.Inc()
@@ -948,15 +956,6 @@ func (e *Engine) AddJob(ctx context.Context, id string, weight float64, demand, 
 		})
 }
 
-// AddJobInQueue registers a job under a declared queue.
-func (e *Engine) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddJob, ID: id, Queue: queue, Weight: weight, Demand: demand, Work: work},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddJobInQueue(queue, id, weight, demand, work)
-		})
-}
-
 // AddJobs atomically registers a whole set of jobs in ONE commit: one
 // queue slot, one solve, one WAL record, all-or-nothing semantics (see
 // scheduler.AddJobs).
@@ -965,15 +964,6 @@ func (e *Engine) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
 		&wal.Mutation{Op: wal.OpAddJobs, Jobs: specs},
 		func(sc *scheduler.Scheduler) error {
 			return sc.AddJobs(specs)
-		})
-}
-
-// AddQueue declares a weighted queue.
-func (e *Engine) AddQueue(ctx context.Context, name string, weight float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddQueue, ID: name, Weight: weight},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddQueue(name, weight)
 		})
 }
 

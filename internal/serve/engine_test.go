@@ -67,12 +67,9 @@ func TestEngineBasic(t *testing.T) {
 	}
 }
 
-func TestEngineQueuesAndRestore(t *testing.T) {
+func TestEngineRestore(t *testing.T) {
 	eng, _ := newEngine(t, Config{})
-	if err := eng.AddQueue(context.Background(), "batch", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddJobInQueue(context.Background(), "batch", "q1", 1, []float64{2, 2, 0}, nil); err != nil {
+	if err := eng.AddJob(context.Background(), "q1", 1, []float64{2, 2, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.AddJob(context.Background(), "solo", 1, []float64{0, 2, 2}, nil); err != nil {

@@ -79,6 +79,5 @@ func (p Policy) Allocate(sv *core.Solver, in *core.Instance) (*core.Allocation, 
 	if impl == nil {
 		return nil, fmt.Errorf("sim: unknown policy %d", int(p))
 	}
-	alloc, _, err := impl.Allocate(context.Background(), &policy.View{Inst: in, Solver: sv})
-	return alloc, err
+	return impl.Allocate(context.Background(), &policy.View{Inst: in, Solver: sv})
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/scheduler"
@@ -13,7 +14,6 @@ import (
 const (
 	OpAddJob    = "add_job"
 	OpAddJobs   = "add_jobs"
-	OpAddQueue  = "add_queue"
 	OpRemoveJob = "remove_job"
 	OpProgress  = "progress"
 	OpWeight    = "weight"
@@ -45,7 +45,6 @@ const (
 type Mutation struct {
 	Op     string    `json:"op"`
 	ID     string    `json:"id,omitempty"`
-	Queue  string    `json:"queue,omitempty"`
 	Weight float64   `json:"weight,omitempty"`
 	Demand []float64 `json:"demand,omitempty"`
 	Work   []float64 `json:"work,omitempty"`
@@ -64,14 +63,9 @@ type Mutation struct {
 func (m Mutation) Apply(sc *scheduler.Scheduler) error {
 	switch m.Op {
 	case OpAddJob:
-		if m.Queue != "" {
-			return sc.AddJobInQueue(m.Queue, m.ID, m.Weight, m.Demand, m.Work)
-		}
 		return sc.AddJob(m.ID, m.Weight, m.Demand, m.Work)
 	case OpAddJobs:
 		return sc.AddJobs(m.Jobs)
-	case OpAddQueue:
-		return sc.AddQueue(m.ID, m.Weight)
 	case OpRemoveJob:
 		return sc.RemoveJob(m.ID)
 	case OpProgress:
@@ -103,11 +97,15 @@ func EncodeBatch(ms []Mutation) ([]byte, error) {
 	return json.Marshal(ms)
 }
 
-// DecodeBatch parses a record payload back into its mutations.
+// DecodeBatch parses a record payload back into its mutations. A record
+// that uses a retired feature fails with ErrRetiredState.
 func DecodeBatch(payload []byte) ([]Mutation, error) {
 	var ms []Mutation
 	if err := json.Unmarshal(payload, &ms); err != nil {
 		return nil, fmt.Errorf("wal: decoding batch: %w", err)
+	}
+	if err := checkRetired(payload, true); err != nil {
+		return nil, err
 	}
 	return ms, nil
 }
@@ -118,13 +116,14 @@ func EncodeState(snap scheduler.Snapshot) ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// DecodeState parses a snapshot-file payload.
+// DecodeState parses a snapshot-file payload. A snapshot that uses a
+// retired feature fails with ErrRetiredState.
 func DecodeState(payload []byte) (scheduler.Snapshot, error) {
 	var snap scheduler.Snapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return snap, fmt.Errorf("wal: decoding state: %w", err)
 	}
-	return snap, nil
+	return snap, checkRetired(payload, false)
 }
 
 // ReplayStats summarizes a Recovery replayed onto a controller.
@@ -136,13 +135,17 @@ type ReplayStats struct {
 	Mutations int
 	// Failed counts mutations that did not re-apply cleanly. Logged
 	// mutations all succeeded once, so anything here indicates a bug or
-	// operator surgery on the directory; replay continues past them.
+	// operator surgery on the directory; replay continues past them. State
+	// using a retired feature is not counted here: it fails the replay
+	// (ErrRetiredState).
 	Failed int
 }
 
 // Replay restores the recovered snapshot (if any) into sc and re-applies
 // the record tail. The controller should be freshly constructed with the
 // deployment's site capacities; configuration is not part of the log.
+// Replay stops with ErrRetiredState at the first snapshot or record that
+// uses a retired feature, leaving the controller at the state before it.
 func (r *Recovery) Replay(sc *scheduler.Scheduler) (ReplayStats, error) {
 	var st ReplayStats
 	if r.State != nil {
@@ -157,6 +160,9 @@ func (r *Recovery) Replay(sc *scheduler.Scheduler) (ReplayStats, error) {
 	}
 	for _, payload := range r.Records {
 		ms, err := DecodeBatch(payload)
+		if errors.Is(err, ErrRetiredState) {
+			return st, err
+		}
 		if err != nil {
 			// The record passed its checksum, so this is not disk
 			// corruption; count it and keep the rest of the tail.

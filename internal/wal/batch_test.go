@@ -18,9 +18,8 @@ func newScheduler(t *testing.T) *scheduler.Scheduler {
 func TestMutationApplyAllOps(t *testing.T) {
 	sc := newScheduler(t)
 	muts := []Mutation{
-		{Op: OpAddQueue, ID: "prod", Weight: 2},
 		{Op: OpAddJob, ID: "a", Weight: 1, Demand: []float64{1, 1, 0}},
-		{Op: OpAddJob, ID: "q", Queue: "prod", Weight: 1, Demand: []float64{0, 1, 1}},
+		{Op: OpAddJob, ID: "q", Weight: 1, Demand: []float64{0, 1, 1}},
 		{Op: OpAddJobs, Jobs: []scheduler.JobSpec{
 			{ID: "b1", Demand: []float64{1, 0, 0}},
 			{ID: "b2", Demand: []float64{0, 0, 1}},
@@ -36,9 +35,6 @@ func TestMutationApplyAllOps(t *testing.T) {
 	}
 	if st := sc.Stats(); st.Jobs != 3 {
 		t.Fatalf("jobs after replay = %d, want 3", st.Jobs)
-	}
-	if q, err := sc.QueueOf("q"); err != nil || q != "prod" {
-		t.Fatalf("QueueOf(q) = %q, %v", q, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"errors"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
@@ -34,9 +35,8 @@ var legacyRecords = []string{
 	`[{"op":"add_job","id":"d","weight":2,"demand":[0,2,0],"work":[0,20,0]},{"op":"remove_job","id":"c"}]`,
 }
 
-// writeLegacyDir lays down a snapshot plus a record tail, exactly as
-// given. strip drops the phase fields, giving the same log as a build
-// without them would have written.
+// writeLegacyDir lays down the phase fixture. strip drops the phase
+// fields, giving the same log as a build without them would have written.
 func writeLegacyDir(t *testing.T, dir string, strip bool) {
 	t.Helper()
 	fix := func(s string) string {
@@ -46,15 +46,25 @@ func writeLegacyDir(t *testing.T, dir string, strip bool) {
 		}
 		return s
 	}
+	records := make([]string, len(legacyRecords))
+	for i, r := range legacyRecords {
+		records[i] = fix(r)
+	}
+	writeDir(t, dir, fix(legacyState), records)
+}
+
+// writeDir lays down a snapshot plus a record tail, exactly as given.
+func writeDir(t *testing.T, dir, state string, records []string) {
+	t.Helper()
 	l, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Compact([]byte(fix(legacyState))); err != nil {
+	if err := l.Compact([]byte(state)); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range legacyRecords {
-		if err := l.Append([]byte(fix(r))); err != nil {
+	for _, r := range records {
+		if err := l.Append([]byte(r)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {
@@ -139,18 +149,7 @@ func TestLegacyPhaseStateRecovery(t *testing.T) {
 		t.Fatalf("legacy runtime config %+v, want %+v", legacy.RuntimeConfig(), clean.RuntimeConfig())
 	}
 
-	srv := httptest.NewServer(wal.NewShipHandler(log))
-	t.Cleanup(srv.Close)
-	rep, err := cluster.NewReplica(cluster.ReplicaConfig{
-		Source:       &wal.ShipClient{Base: srv.URL, HTTP: srv.Client()},
-		SiteCapacity: []float64{4, 4, 4},
-		Policy:       policy.AMF,
-		Interval:     2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rep.Close() })
+	rep := tailLog(t, log)
 	head := log.Durable()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -165,5 +164,166 @@ func TestLegacyPhaseStateRecovery(t *testing.T) {
 			t.Fatalf("replica never reached %v (last error: %s)", head, rep.LastError())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// tailLog starts a replica following log over WAL shipping.
+func tailLog(t *testing.T, log *wal.Log) *cluster.Replica {
+	t.Helper()
+	srv := httptest.NewServer(wal.NewShipHandler(log))
+	t.Cleanup(srv.Close)
+	rep, err := cluster.NewReplica(cluster.ReplicaConfig{
+		Source:       &wal.ShipClient{Base: srv.URL, HTTP: srv.Client()},
+		SiteCapacity: []float64{4, 4, 4},
+		Policy:       policy.AMF,
+		Interval:     2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rep.Close() })
+	return rep
+}
+
+// Fixtures for the features older builds served and this one retired:
+// hierarchical queues and the drf and propfair policies. The clean state
+// and tail use none of them; job IDs that spell a retired name must not
+// trip the check. Each legacy fixture changes one part of the clean one.
+const (
+	retiredJobA  = `{"id":"a","weight":1,"demand":[1,1,0],"remaining":[50,50,0]}`
+	retiredJobs  = `"jobs":[` + retiredJobA + `,{"id":"drf","weight":2,"demand":[0,1,1],"remaining":[0,40,40]}]`
+	retiredState = `{"policy":"amf",` + retiredJobs + `,"solver":{"approx_epsilon":0,"approx_threshold":0}}`
+)
+
+var retiredRecords = []string{
+	`[{"op":"add_job","id":"queue","weight":1,"demand":[1,0,1],"work":[30,0,30]}]`,
+	`[{"op":"weight","id":"a","weight":3}]`,
+	`[{"op":"add_job","id":"z","weight":2,"demand":[0,2,0],"work":[0,20,0]}]`,
+}
+
+type retiredFixture struct {
+	name    string
+	state   string
+	records []string
+}
+
+// retiredFixtures returns one fixture per legacy shape.
+func retiredFixtures() []retiredFixture {
+	record := func(i int, r string) []string {
+		rs := append([]string(nil), retiredRecords...)
+		rs[i] = r
+		return rs
+	}
+	queued := strings.Replace(retiredState, `"jobs"`, `"queues":{"research":2},"jobs"`, 1)
+	return []retiredFixture{
+		{"add_queue record", retiredState, record(1, `[{"op":"add_queue","id":"research","weight":2}]`)},
+		{"add_job in a queue", retiredState, record(0, strings.Replace(retiredRecords[0], `"id":"queue",`, `"id":"queue","queue":"research",`, 1))},
+		{"add_jobs in a queue", retiredState, record(1, `[{"op":"add_jobs","jobs":[{"id":"b","demand":[1,0,0]},{"id":"c","queue":"research","demand":[0,0,1]}]}]`)},
+		{"restore record with queues", retiredState, record(1, `[{"op":"restore","state":`+queued+`}]`)},
+		{"snapshot with queues", queued, retiredRecords},
+		{"snapshot job in a queue", strings.Replace(retiredState, `{"id":"a",`, `{"id":"a","queue":"research",`, 1), retiredRecords},
+		{"snapshot under drf", strings.Replace(retiredState, `"policy":"amf"`, `"policy":"drf"`, 1), retiredRecords},
+		{"set_policy drf", retiredState, record(1, `[{"op":"set_policy","policy":"drf"}]`)},
+		{"set_policy propfair", retiredState, record(1, `[{"op":"set_policy","policy":"propfair"}]`)},
+		{"set_config propfair", retiredState, record(1, `[{"op":"set_config","config":{"policy":"propfair"}}]`)},
+	}
+}
+
+// TestLegacyRetiredStateRecovery checks that state an older build wrote
+// for a retired feature fails loudly: Replay returns ErrRetiredState
+// without counting it as a failed mutation or replaying past it, and a
+// replica tailing the log stops there with the error and publishes
+// nothing past it. The clean fixture still recovers, on both paths, to
+// the allocation of the same mutations applied directly.
+func TestLegacyRetiredStateRecovery(t *testing.T) {
+	ref, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 4}, Policy: policy.AMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []error{
+		ref.AddJob("a", 1, []float64{1, 1, 0}, []float64{50, 50, 0}),
+		ref.AddJob("drf", 2, []float64{0, 1, 1}, []float64{0, 40, 40}),
+		ref.AddJob("queue", 1, []float64{1, 0, 1}, []float64{30, 0, 30}),
+		ref.UpdateWeight("a", 3),
+		ref.AddJob("z", 2, []float64{0, 2, 0}, []float64{0, 20, 0}),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	want, err := ref.Allocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cleanDir := filepath.Join(t.TempDir(), "clean")
+	writeDir(t, cleanDir, retiredState, retiredRecords)
+	l, rec, err := wal.Open(cleanDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	clean, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 4}, Policy: policy.AMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := rec.Replay(clean); err != nil || !st.Restored || st.Failed != 0 || st.Mutations != len(retiredRecords) {
+		t.Fatalf("clean replay = %+v, %v", st, err)
+	}
+	got, err := clean.Allocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameShares(t, "clean replay", got, want)
+	rep := tailLog(t, l)
+	deadline := time.Now().Add(10 * time.Second)
+	for v := rep.View(); v == nil || v.Cursor.Before(l.Durable()); v = rep.View() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never caught up with the clean log (last error: %s)", rep.LastError())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	sameShares(t, "clean replica", rep.View().Shares, want)
+
+	for _, fx := range retiredFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeDir(t, dir, fx.state, fx.records)
+			l, rec, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = l.Close() })
+			sc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 4}, Policy: policy.AMF})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := rec.Replay(sc)
+			if !errors.Is(err, wal.ErrRetiredState) {
+				t.Fatalf("replay err = %v, want ErrRetiredState", err)
+			}
+			if st.Failed != 0 {
+				t.Fatalf("retired state counted as %d failed mutations", st.Failed)
+			}
+			if _, err := sc.Shares("z"); !errors.Is(err, scheduler.ErrUnknownJob) {
+				t.Fatalf("replay went past the retired state: job z recovered (%v)", err)
+			}
+
+			rep := tailLog(t, l)
+			deadline := time.Now().Add(10 * time.Second)
+			for !strings.Contains(rep.LastError(), wal.ErrRetiredState.Error()) {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica never stopped at the retired state (last error: %q)", rep.LastError())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // ten poll intervals
+			if v := rep.View(); v != nil && v.Shares["z"] != nil {
+				t.Fatal("replica published past the retired state")
+			}
+			if n := rep.Metrics().Snapshot().Counters["replica.poll_errors"]; n != 1 {
+				t.Fatalf("replica polled on after the retired state: %d poll errors", n)
+			}
+		})
 	}
 }
