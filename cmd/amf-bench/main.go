@@ -17,8 +17,8 @@
 //	amf-bench -serve                            # 8 mutators + 8 readers
 //	amf-bench -serve -serve-mutators 16 -serve-dur 5s
 //
-// A decomposition mode compares the monolithic solve against the
-// component-decomposed parallel path on a block-diagonal sparse
+// A decomposition mode compares the whole-network solve (AMFDiag) against
+// the component-decomposed parallel path on a block-diagonal sparse
 // instance, optionally emitting machine-readable results:
 //
 //	amf-bench -decompose
@@ -97,7 +97,7 @@ func main() {
 		serveWindow  = flag.Duration("serve-window", time.Millisecond, "BatchWindow for the batched configuration")
 		serveDur     = flag.Duration("serve-dur", 2*time.Second, "measurement duration per configuration")
 
-		decompMode   = flag.Bool("decompose", false, "run the decomposition benchmark (monolithic vs component-parallel solve)")
+		decompMode   = flag.Bool("decompose", false, "run the decomposition benchmark (whole-network AMFDiag vs component-parallel solve)")
 		decompComps  = flag.Int("decompose-components", 64, "independent components in the sparse instance")
 		decompJobs   = flag.Int("decompose-jobs", 16, "jobs per component")
 		decompSites  = flag.Int("decompose-sites", 4, "sites per component")

@@ -55,9 +55,6 @@ type Solver struct {
 	// connected components concurrently (default GOMAXPROCS; 1 solves
 	// components sequentially). See partition.go.
 	Parallelism int
-	// Monolithic disables connected-component decomposition: the instance
-	// is always solved as one flow network, the pre-decomposition behavior.
-	Monolithic bool
 	// ApproxEpsilon, when positive, arms the approximate water-filling fast
 	// path (approx.go): components routed to it are guaranteed per-job
 	// aggregates within ApproxEpsilon*Instance.Scale() of the exact max-min
@@ -142,65 +139,10 @@ func (sv *Solver) AMFLevels(in *Instance) ([]float64, error) {
 	return a.Aggregates(), nil
 }
 
-// fill runs progressive filling with optional per-job floors. floors may be
-// nil (plain AMF) or a feasible floor vector with floors[j] <= D_j
-// (Enhanced AMF; EqualShares satisfies this by construction).
-func (sv *Solver) fill(in *Instance, floors []float64) (*Allocation, error) {
-	return sv.fillDiag(in, floors, nil)
-}
-
-// fillDiag is fill with an optional freeze-cascade recorder. It dispatches
-// between the component-decomposed path (partition.go) and the monolithic
-// single-network path; diagnostics always take the monolithic path so that
-// freeze rounds are reported against the global level order. Both paths
-// report the same stages in the same order — partition (when the
-// decomposition ran at all), then solve with one solve.component detail
-// per component — so a one-component instance is as observable as a
-// sparse one.
-func (sv *Solver) fillDiag(in *Instance, floors []float64, diag *Diagnostics) (*Allocation, error) {
-	if diag == nil && !sv.Monolithic {
-		if alloc, done, err := sv.fillDecomposed(in, floors); done {
-			return alloc, err
-		}
-	}
-	start := time.Now()
-	var alloc *Allocation
-	var rep approxReport
-	var err error
-	if diag != nil {
-		// Diagnostics report freeze rounds against exact bottleneck levels;
-		// the approximate path has no such rounds, so it never applies here.
-		alloc, err = sv.fillMono(in, floors, diag)
-	} else {
-		alloc, rep, err = sv.fillComponent(in, floors)
-	}
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	sv.stage(StageSolveComponent, wall, true)
-	if rep.used {
-		sv.stage(StageSolveApprox, rep.d, true)
-	}
-	sv.stage(StageSolve, wall, false)
-	st := SolveStats{
-		Components:       1,
-		LargestComponent: in.NumJobs(),
-		SequentialTime:   wall,
-		WallTime:         wall,
-		Speedup:          1,
-	}
-	if rep.used {
-		st.ApproxComponents = 1
-		st.ApproxErrorBound = rep.errBound
-	}
-	sv.recordStats(st)
-	return alloc, nil
-}
-
 // fillMono runs progressive filling over the whole instance as a single
-// flow network. It is both the monolithic solve path and the per-component
-// worker of the decomposed path.
+// flow network. It is the exact per-component solve of the component
+// pipeline (via fillComponent) and, through AMFDiag, the whole-network
+// reference.
 func (sv *Solver) fillMono(in *Instance, floors []float64, diag *Diagnostics) (*Allocation, error) {
 	n := in.NumJobs()
 	alloc := NewAllocation(in)

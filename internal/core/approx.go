@@ -97,11 +97,11 @@ func (sv *Solver) approxRoute(in *Instance) bool {
 	return false
 }
 
-// fillComponent solves one connected component (or the whole instance on
-// the monolithic path), routing through the approximate water-filling when
-// the fast path is enabled and the component is large enough. Callers emit
-// the solve.approx stage event from the report (not here: parallel workers
-// must not fire the OnStage hook concurrently).
+// fillComponent solves one connected component, routing through the
+// approximate water-filling when the fast path is enabled and the
+// component is large enough. solveComponents emits the solve.approx stage
+// event from the report (not here: parallel workers must not fire the
+// OnStage hook concurrently).
 func (sv *Solver) fillComponent(in *Instance, floors []float64) (*Allocation, approxReport, error) {
 	if sv.approxRoute(in) {
 		t0 := time.Now()

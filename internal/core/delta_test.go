@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fairness"
@@ -220,4 +221,53 @@ func TestSolveDeltaRejectsWithoutSideEffects(t *testing.T) {
 	}
 	h.wt[0] = 2
 	tw.step(t, "after rejects", h.instance(), []string{h.name[0]}, []string{gone})
+}
+
+// TestSolveDeltaCapacityChangeIsFull: carried state is only valid for the
+// capacities it was solved under, compared bit for bit. Moving one site's
+// capacity by a single ulp between two SolveDelta calls must make the
+// second a full solve, with rows equal to a fresh solver's.
+func TestSolveDeltaCapacityChangeIsFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const blocks, spb = 3, 3
+	h := newIncHarness(rng, blocks, spb)
+	for b := 0; b < blocks; b++ {
+		h.addJob(rng, b, spb)
+		h.addJob(rng, b, spb)
+	}
+	delta := func(in *Instance) Delta {
+		return Delta{Row: func(name string) int { return slices.Index(in.JobName, name) }}
+	}
+	for _, enhanced := range []bool{false, true} {
+		caps := append([]float64(nil), h.caps...)
+		x := &IncrementalSolver{Enhanced: enhanced}
+		in := h.instance()
+		if _, err := x.SolveDelta(in, delta(in)); err != nil {
+			t.Fatal(err)
+		}
+		if up, err := x.SolveDelta(in, delta(in)); err != nil || up.Full {
+			t.Fatalf("enhanced=%v: unchanged capacities: full=%v err=%v, want an incremental no-op", enhanced, up != nil && up.Full, err)
+		}
+		h.caps[1] = math.Nextafter(h.caps[1], math.Inf(1))
+		in = h.instance()
+		up, err := x.SolveDelta(in, delta(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !up.Full {
+			t.Fatalf("enhanced=%v: capacity moved by one ulp but the update is not full", enhanced)
+		}
+		want, err := (&IncrementalSolver{Enhanced: enhanced}).Solve(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range in.JobName {
+			for s, v := range want.Share[i] {
+				if got := x.Row(name); math.Float64bits(got[s]) != math.Float64bits(v) {
+					t.Fatalf("enhanced=%v: job %s site %d: %v after the capacity change, fresh solver %v", enhanced, name, s, got[s], v)
+				}
+			}
+		}
+		h.caps = caps
+	}
 }

@@ -85,12 +85,17 @@ func (d *Diagnostics) Cohort(j int) []int {
 }
 
 // AMFDiag computes the AMF allocation together with the freeze cascade.
+// It solves the whole instance as one flow network, without the component
+// decomposition, so freeze rounds are reported against the global level
+// order; it is also the whole-network reference the decomposed solve is
+// checked and timed against. It records no SolveStats and emits no stage
+// events.
 func (sv *Solver) AMFDiag(in *Instance) (*Allocation, *Diagnostics, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	diag := &Diagnostics{}
-	a, err := sv.fillDiag(in, nil, diag)
+	a, err := sv.fillMono(in, nil, diag)
 	return a, diag, err
 }
 
@@ -100,6 +105,6 @@ func (sv *Solver) EnhancedAMFDiag(in *Instance) (*Allocation, *Diagnostics, erro
 		return nil, nil, err
 	}
 	diag := &Diagnostics{}
-	a, err := sv.fillDiag(in, EqualShares(in), diag)
+	a, err := sv.fillMono(in, EqualShares(in), diag)
 	return a, diag, err
 }

@@ -9,7 +9,7 @@ import (
 // converge to aggregate level A_j — from the published allocation itself.
 // It is derived post-hoc from (instance, share matrix, optional floors)
 // rather than captured inside the water-filling loop, so it is exact for
-// every solve path (monolithic, decomposed, incremental splicing, and the
+// every solve path (whole-network, decomposed, incremental splicing, and the
 // approximate fast path) and costs nothing on the commit path: engines
 // compute it lazily per published snapshot.
 type Explanation struct {

@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fairness"
@@ -17,12 +16,13 @@ import (
 // batch actually touched, splicing cached results for the rest.
 //
 // The component decomposition (partition.go) makes each connected component
-// of the job×site demand graph an independent sub-problem, but a plain
-// decomposed solve still re-partitions and re-solves every component from
-// scratch. In a serving deployment most mutation batches are local — the
-// paper's data-locality premise means a batch typically touches one job in
-// one component — so an IncrementalSolver carries three pieces of state
-// from solve to solve:
+// of the job×site demand graph an independent sub-problem, but a
+// from-scratch solve (Solver.fill) still re-partitions and re-solves every
+// component. SolveDelta runs the same pipeline — grouping, materializer,
+// worker pool — on just the components a delta invalidated. In a serving
+// deployment most mutation batches are local — the paper's data-locality
+// premise means a batch typically touches one job in one component — so
+// an IncrementalSolver carries three pieces of state from solve to solve:
 //
 //   - The partition itself. Union-find runs only over the jobs of affected
 //     components (those that gained, lost or changed a member, or own a
@@ -65,10 +65,13 @@ import (
 // IncrementalStats describes how the most recent IncrementalSolver.Solve
 // executed, plus cumulative cache accounting across the solver's lifetime.
 type IncrementalStats struct {
-	// Components is the number of live connected components after the
-	// solve; LargestComponent is the job count of the biggest one.
-	Components       int
-	LargestComponent int
+	// SolveStats is the decomposition record, also mirrored onto the
+	// underlying Solver's LastStats (Seq is set only there). Components
+	// counts the live components after the solve; SequentialTime sums the
+	// wall times of the components actually re-solved; WallTime covers the
+	// whole call (partition maintenance, fingerprinting, cache splicing
+	// included), and Speedup is zero when nothing was solved.
+	SolveStats
 	// Reused counts untouched components spliced from their previous
 	// result without hashing; CacheHits counts touched components whose
 	// fingerprint hit the result cache; Solved counts components actually
@@ -76,25 +79,12 @@ type IncrementalStats struct {
 	Reused    int
 	CacheHits int
 	Solved    int
-	// SequentialTime sums the per-component solve wall times; WallTime is
-	// the wall-clock time of the whole Solve call (partition maintenance,
-	// fingerprinting, cache splicing included). Speedup is their ratio
-	// (zero when nothing was solved).
-	SequentialTime time.Duration
-	WallTime       time.Duration
-	Speedup        float64
 	// TotalCacheHits/TotalCacheMisses accumulate fingerprint-cache lookups
 	// over the solver's lifetime; GlobalInvalidations counts Enhanced-AMF
 	// floor invalidations (weight-sum changes).
 	TotalCacheHits      int64
 	TotalCacheMisses    int64
 	GlobalInvalidations int64
-	// ApproxComponents counts components of the most recent solve that
-	// routed through the approximate water-filling fast path;
-	// ApproxErrorBound is their largest certified per-job aggregate
-	// deviation from the exact allocation (see SolveStats).
-	ApproxComponents int
-	ApproxErrorBound float64
 }
 
 // IncrementalSolver computes AMF (or Enhanced-AMF) allocations across a
@@ -108,18 +98,15 @@ type IncrementalSolver struct {
 	Solver *Solver
 	// Enhanced applies the sharing-incentive floors (EnhancedAMF).
 	Enhanced bool
-	// CacheAge is how many solves an unused cache entry survives before
-	// eviction (default 8).
-	CacheAge uint64
 
-	m        int
 	gen      uint64
 	jobs     map[string]*incComp // job name -> component (nil: zero demand)
 	comps    map[int]*incComp
 	nextID   int
 	siteComp []int // site -> owning component id, -1 unowned
+	uf       siteUnion
 	cache    map[uint64][]*ComponentResult
-	capBits  uint64
+	caps     []float64 // the site capacities the carried state was solved under
 	prevWSum float64
 	haveWSum bool
 	stats    IncrementalStats
@@ -133,9 +120,9 @@ type incComp struct {
 	jobs []string // member job names, sorted to instance order at use
 	// rows[k] is jobs[k]'s instance row as of generation rowsGen; rows
 	// shift between solves, so orderMembers refreshes them before use.
-	rows    []int
+	// sites are ascending global site indices.
+	compGroup
 	rowsGen uint64
-	sites   []int // sorted global site indices
 	dirty   bool
 
 	result   *ComponentResult
@@ -198,7 +185,7 @@ type Update struct {
 // Reset drops all carried state (partition, results, cache); the next
 // Solve runs from scratch. Cumulative counters are kept.
 func (x *IncrementalSolver) Reset() {
-	x.m = 0
+	x.caps = nil
 	x.jobs = nil
 	x.comps = nil
 	x.siteComp = nil
@@ -209,12 +196,9 @@ func (x *IncrementalSolver) Reset() {
 // LastStats reports the record of the most recent Solve.
 func (x *IncrementalSolver) LastStats() IncrementalStats { return x.stats }
 
-func (x *IncrementalSolver) cacheAge() uint64 {
-	if x.CacheAge > 0 {
-		return x.CacheAge
-	}
-	return 8
-}
+// cacheAge is how many solves an unused cache entry survives before
+// eviction.
+const cacheAge = 8
 
 // Solve computes the allocation for in, reusing every component result the
 // mutations since the previous Solve cannot have invalidated. It is a
@@ -314,8 +298,7 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 		x.Solver = sv
 	}
 
-	capBits := hashFloats(in.SiteCapacity)
-	fresh := x.jobs == nil || x.m != m || x.capBits != capBits
+	fresh := x.jobs == nil || !sameBits(x.caps, in.SiteCapacity)
 	// Validation is itself incremental: a full O(n·m) Instance.Validate
 	// only when carried state resets; afterwards just the changed rows are
 	// shape-checked and float-scanned (validateJobData below) — clean rows
@@ -337,7 +320,7 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	sv.stage(StageValidate, time.Since(tValidate), false)
 	changed, removed := delta.Changed, delta.Removed
 	if fresh {
-		x.m, x.capBits = m, capBits
+		x.caps = append(x.caps[:0], in.SiteCapacity...)
 		x.jobs = make(map[string]*incComp, n)
 		x.comps = map[int]*incComp{}
 		x.siteComp = make([]int, m)
@@ -426,7 +409,7 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	}
 	sort.Ints(ids)
 
-	st := IncrementalStats{Components: len(x.comps)}
+	st := IncrementalStats{SolveStats: SolveStats{Components: len(x.comps)}}
 	// moved collects, in id order, the components whose record changed
 	// this call: cache hits now, solved ones once their result lands.
 	var toSolve, moved []*incComp
@@ -466,82 +449,24 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	sv.stage(StagePartition, time.Since(tPartition), false)
 	tSolve := time.Now()
 
-	var seqNS atomic.Int64
-	// perComp collects per-component solve wall times for detail stage
-	// events; workers write disjoint indices, so no lock is needed.
-	perComp := make([]time.Duration, len(toSolve))
-	// reps collects per-component approximate-path reports; same disjoint
-	// indexing as perComp.
-	reps := make([]approxReport, len(toSolve))
-	if len(toSolve) > 0 {
-		workers := sv.parallelism()
-		if workers > len(toSolve) {
-			workers = len(toSolve)
-		}
-		var (
-			wg       sync.WaitGroup
-			next     atomic.Int64
-			errMu    sync.Mutex
-			firstErr error
-		)
-		worker := func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(toSolve) {
-					return
-				}
-				c := toSolve[k]
-				t0 := time.Now()
-				res, rep, err := x.solveComp(sv, in, c, floors)
-				d := time.Since(t0)
-				reps[k] = rep
-				seqNS.Add(int64(d))
-				perComp[k] = d
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: incremental component (%d jobs): %w", len(c.jobs), err)
-					}
-					errMu.Unlock()
-					return
-				}
-				// c stays dirty until its result lands, so a failed solve
-				// leaves the state consistent for the next attempt.
-				c.result = res
-				c.dirty = false
-			}
-		}
-		// The calling goroutine is one of the workers: the common commit
-		// solves a single component and should not pay a spawn for it.
-		wg.Add(workers)
-		for w := 1; w < workers; w++ {
-			go worker()
-		}
-		worker()
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		for _, c := range toSolve {
-			x.cache[c.result.hash] = append(x.cache[c.result.hash], c.result)
-			c.pendKey = nil
-		}
+	groups := make([]compGroup, len(toSolve))
+	for k, c := range toSolve {
+		groups[k] = c.compGroup
 	}
-	for _, d := range perComp {
-		sv.stage(StageSolveComponent, d, true)
+	runs, pst, err := sv.solveComponents(in, groups, floors)
+	if err != nil {
+		// Every component to solve stays dirty with no result, so the
+		// next call solves it again.
+		return nil, err
 	}
-	for _, rep := range reps {
-		if rep.used {
-			st.ApproxComponents++
-			if rep.errBound > st.ApproxErrorBound {
-				st.ApproxErrorBound = rep.errBound
-			}
-			if sv.OnStage != nil {
-				sv.stage(StageSolveApprox, rep.d, true)
-			}
-		}
+	for k, c := range toSolve {
+		c.result = x.newResult(in, c, runs[k].alloc)
+		c.dirty = false
+		c.pendKey = nil
+		x.cache[c.result.hash] = append(x.cache[c.result.hash], c.result)
 	}
+	pst.Components, pst.LargestComponent = st.Components, st.LargestComponent
+	st.SolveStats = pst
 	sv.stage(StageSolve, time.Since(tSolve), false)
 	tMerge := time.Now()
 
@@ -569,7 +494,6 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	x.evict()
 	sv.stage(StageMerge, time.Since(tMerge), false)
 
-	st.SequentialTime = time.Duration(seqNS.Load())
 	st.WallTime = time.Since(start)
 	if st.WallTime > 0 && st.SequentialTime > 0 {
 		st.Speedup = float64(st.SequentialTime) / float64(st.WallTime)
@@ -580,33 +504,22 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	x.stats = st
 	// Mirror the decomposition record onto the underlying solver so
 	// LastStats consumers see this solve regardless of entry point.
-	sv.recordStats(SolveStats{
-		Components:       st.Components,
-		LargestComponent: st.LargestComponent,
-		SequentialTime:   st.SequentialTime,
-		WallTime:         st.WallTime,
-		Speedup:          st.Speedup,
-		ApproxComponents: st.ApproxComponents,
-		ApproxErrorBound: st.ApproxErrorBound,
-	})
+	sv.recordStats(st.SolveStats)
 	return up, nil
 }
 
-// repartition re-runs union-find over just the affected components' jobs
+// repartition re-runs the grouping over just the affected components' jobs
 // plus the mutated/new jobs, dissolving the affected components and
 // forming their replacements. Untouched components keep their membership,
-// sites and results.
+// sites and results. repartition takes ownership of dirtyIdx.
 func (x *IncrementalSolver) repartition(in *Instance, row func(string) int, affected map[*incComp]bool, dirtyIdx []int) {
-	repart := map[int]bool{}
-	for _, i := range dirtyIdx {
-		repart[i] = true
-	}
+	rows := dirtyIdx
 	for c := range affected {
 		for _, name := range c.jobs {
 			// Members that left were already dropped from x.jobs, so only
 			// live names are looked up.
 			if x.jobs[name] == c {
-				repart[row(name)] = true
+				rows = append(rows, row(name))
 			}
 		}
 		for _, s := range c.sites {
@@ -616,79 +529,26 @@ func (x *IncrementalSolver) repartition(in *Instance, row func(string) int, affe
 		}
 		delete(x.comps, c.id)
 	}
-	order := make([]int, 0, len(repart))
-	for i := range repart {
-		order = append(order, i)
-	}
-	sort.Ints(order)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
 
-	// Union-find over the sites these jobs touch; every such site is
-	// unowned here (its owner, if any, was dissolved above).
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(s int) int {
-		p, ok := parent[s]
-		if !ok {
-			parent[s] = s
-			return s
-		}
-		if p != s {
-			p = find(p)
-			parent[s] = p
-		}
-		return p
+	// Every site these rows demand is unowned here: its owner, if any, was
+	// dissolved above.
+	groups, zero := x.uf.group(in, rows)
+	for _, i := range zero {
+		x.jobs[in.JobName[i]] = nil // zero demand: no component, zero shares
 	}
-	for _, i := range order {
-		first := -1
-		for s, d := range in.Demand[i] {
-			if d <= 0 {
-				continue
-			}
-			if first < 0 {
-				first = s
-				find(s)
-				continue
-			}
-			if ra, rb := find(first), find(s); ra != rb {
-				parent[ra] = rb
-			}
+	for _, g := range groups {
+		c := &incComp{id: x.nextID, jobs: make([]string, len(g.rows)), compGroup: g, rowsGen: x.gen, dirty: true}
+		x.nextID++
+		x.comps[c.id] = c
+		for k, i := range g.rows {
+			c.jobs[k] = in.JobName[i]
+			x.jobs[c.jobs[k]] = c
 		}
-	}
-	byRoot := map[int]*incComp{}
-	for _, i := range order {
-		name := in.JobName[i]
-		first := -1
-		for s, d := range in.Demand[i] {
-			if d > 0 {
-				first = s
-				break
-			}
+		for _, s := range g.sites {
+			x.siteComp[s] = c.id
 		}
-		if first < 0 {
-			x.jobs[name] = nil // zero demand: no component, zero shares
-			continue
-		}
-		r := find(first)
-		c := byRoot[r]
-		if c == nil {
-			c = &incComp{id: x.nextID, dirty: true, rowsGen: x.gen}
-			x.nextID++
-			byRoot[r] = c
-			x.comps[c.id] = c
-		}
-		// order ascends, so members land in instance order with their rows.
-		c.jobs = append(c.jobs, name)
-		c.rows = append(c.rows, i)
-		x.jobs[name] = c
-		for s, d := range in.Demand[i] {
-			if d > 0 && x.siteComp[s] != c.id {
-				x.siteComp[s] = c.id
-				c.sites = append(c.sites, s)
-			}
-		}
-	}
-	for _, c := range byRoot {
-		sort.Ints(c.sites)
 	}
 }
 
@@ -716,45 +576,12 @@ func (m membersByRow) Swap(a, b int) {
 	m.c.rows[a], m.c.rows[b] = m.c.rows[b], m.c.rows[a]
 }
 
-// solveComp materializes one component as an independent sub-instance,
-// solves it with the component worker path (exact or approximate, per the
-// solver's routing), and scatters the local rows into immutable full-width
-// rows.
-func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, c *incComp, floors []float64) (*ComponentResult, approxReport, error) {
-	nj, ns := len(c.jobs), len(c.sites)
-	sub := &Instance{
-		SiteCapacity: make([]float64, ns),
-		Demand:       make([][]float64, nj),
-	}
-	for ls, s := range c.sites {
-		sub.SiteCapacity[ls] = in.SiteCapacity[s]
-	}
-	if in.Weight != nil {
-		sub.Weight = make([]float64, nj)
-	}
-	var subFloors []float64
-	if floors != nil {
-		subFloors = make([]float64, nj)
-	}
-	for lj, i := range c.rows {
-		row := make([]float64, ns)
-		for ls, s := range c.sites {
-			row[ls] = in.Demand[i][s]
-		}
-		sub.Demand[lj] = row
-		if sub.Weight != nil {
-			sub.Weight[lj] = in.Weight[i]
-		}
-		if subFloors != nil {
-			subFloors[lj] = floors[i]
-		}
-	}
-	a, rep, err := sv.fillComponent(sub, subFloors)
-	if err != nil {
-		return nil, rep, err
-	}
+// newResult records component c's solve: its local allocation scattered
+// into immutable full-width rows, and the fairness partial of the members'
+// aggregates.
+func (x *IncrementalSolver) newResult(in *Instance, c *incComp, local *Allocation) *ComponentResult {
 	res := &ComponentResult{
-		Shares:   make(map[string][]float64, nj),
+		Shares:   make(map[string][]float64, len(c.jobs)),
 		hash:     c.pendHash,
 		key:      c.pendKey,
 		lastUsed: x.gen,
@@ -763,17 +590,17 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, c *incComp, floo
 		// The aggregate is summed over the compact local row, in ascending
 		// site order — the same value a walk of the full-width row yields,
 		// since every other entry is an exact zero.
-		row := make([]float64, x.m)
+		row := make([]float64, len(x.caps))
 		var agg float64
 		for ls, s := range c.sites {
-			v := a.Share[lj][ls]
+			v := local.Share[lj][ls]
 			row[s] = v
 			agg += v
 		}
 		res.Shares[name] = row
-		res.Fairness.Observe(agg, sub.JobWeight(lj))
+		res.Fairness.Observe(agg, in.JobWeight(c.rows[lj]))
 	}
-	return res, rep, nil
+	return res
 }
 
 // fingerprint serializes everything the component's solution depends on:
@@ -841,13 +668,12 @@ func (x *IncrementalSolver) cacheLookup(h uint64, key []byte) *ComponentResult {
 	return nil
 }
 
-// evict drops cache entries unused for CacheAge generations.
+// evict drops cache entries unused for cacheAge generations.
 func (x *IncrementalSolver) evict() {
-	age := x.cacheAge()
 	for h, bucket := range x.cache {
 		keep := bucket[:0]
 		for _, r := range bucket {
-			if x.gen-r.lastUsed <= age {
+			if x.gen-r.lastUsed <= cacheAge {
 				keep = append(keep, r)
 			}
 		}
@@ -893,23 +719,16 @@ func validateJobData(in *Instance, j, m int) error {
 	return nil
 }
 
+// sameBits reports whether a and b hold the same floats bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func fnv64(b []byte) uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime
-	}
-	return h
-}
-
-func hashFloats(v []float64) uint64 {
-	h := uint64(fnvOffset)
-	for _, f := range v {
-		bits := math.Float64bits(f)
-		for k := 0; k < 64; k += 8 {
-			h ^= uint64(byte(bits >> k))
-			h *= fnvPrime
-		}
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,13 +21,24 @@ import (
 // exactly the restriction of AMF over the whole instance. The same holds
 // for Enhanced AMF provided the floors are computed against the FULL
 // instance first (EqualShares depends on the global weight sum) and then
-// sliced per component — which is what fill does.
+// sliced per component.
 //
-// The solver exploits this by solving components as independent
-// sub-instances on a bounded worker pool (Solver.Parallelism, default
-// GOMAXPROCS) and merging the per-component witness splits back into one
-// Allocation. Each worker checks its own solveScratch out of the solver's
-// pool, so parallel workers never share a flow network.
+// Every solve runs one pipeline over the components:
+//
+//   - siteUnion.group partitions a set of rows into components, each with
+//     its rows and sites ascending, and sets zero-demand rows apart;
+//   - materialize builds one component as an independent instance;
+//   - Solver.solveComponents materializes and solves a list of components
+//     on a bounded worker pool (Solver.Parallelism, default GOMAXPROCS)
+//     and hands back each one's local allocation.
+//
+// Solver.fill (AMF, EnhancedAMF) groups every row and solves every
+// component. IncrementalSolver.SolveDelta groups only the rows of the
+// components a delta touched, and solves only the components it cannot
+// reuse. A from-scratch solve is the incremental kernel with every
+// component dirty, so the two produce bit-identical rows. Each worker
+// checks its own solveScratch out of the solver's pool, so parallel
+// workers never share a flow network.
 
 // SolveStats describes how the most recent AMF/EnhancedAMF solve executed:
 // how the instance decomposed into independent components and what
@@ -38,10 +50,9 @@ type SolveStats struct {
 	// (policies like PS-MMF never enter the core solver at all).
 	Seq uint64
 	// Components is the number of connected components of the job×site
-	// demand graph that were solved (1 for the monolithic path).
+	// demand graph that were solved.
 	Components int
-	// LargestComponent is the job count of the largest component solved
-	// (the whole job count on the monolithic path).
+	// LargestComponent is the job count of the largest component solved.
 	LargestComponent int
 	// SequentialTime sums the per-component solve wall times — what a
 	// sequential solve of the same decomposition would have cost.
@@ -49,7 +60,7 @@ type SolveStats struct {
 	// WallTime is the observed wall-clock time of the solve.
 	WallTime time.Duration
 	// Speedup is SequentialTime/WallTime: the parallel speedup of the
-	// decomposed solve (1 on the monolithic path).
+	// decomposed solve (1 when at most one component was solved).
 	Speedup float64
 	// ApproxComponents is how many components routed through the
 	// approximate water-filling fast path (approx.go); zero means the
@@ -85,241 +96,258 @@ func (sv *Solver) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// components labels each job with the connected component of the job×site
-// demand graph it belongs to, via union-find over the sites each job
-// touches. Jobs with no positive demand belong to no component and are
-// labeled -1 (they freeze at zero without ever entering a network).
-// Labels are compacted to 0..ncomp-1.
-func components(in *Instance) (jobComp []int, ncomp int) {
-	n := in.NumJobs()
-	m := in.NumSites()
-	parent := make([]int, m)
-	for s := range parent {
-		parent[s] = s
+// fill runs progressive filling with optional per-job floors over every
+// component of in. floors may be nil (plain AMF) or a feasible floor
+// vector with floors[j] <= D_j (Enhanced AMF; EqualShares satisfies this
+// by construction).
+func (sv *Solver) fill(in *Instance, floors []float64) (*Allocation, error) {
+	start := time.Now()
+	rows := make([]int, in.NumJobs())
+	for j := range rows {
+		rows[j] = j
 	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
+	var u siteUnion
+	groups, _ := u.group(in, rows)
+	sv.stage(StagePartition, time.Since(start), false)
+	tSolve := time.Now()
+	runs, st, err := sv.solveComponents(in, groups, floors)
+	if err != nil {
+		return nil, err
+	}
+	// Zero-demand rows and sites no job demands keep their zero shares.
+	alloc := NewAllocation(in)
+	for k, g := range groups {
+		local := runs[k].alloc.Share
+		for lj, j := range g.rows {
+			row := alloc.Share[j]
+			for ls, s := range g.sites {
+				row[s] = local[lj][ls]
+			}
 		}
-		return x
+		st.LargestComponent = max(st.LargestComponent, len(g.rows))
 	}
-	first := make([]int, n)
-	for j := 0; j < n; j++ {
-		first[j] = -1
-		for s, d := range in.Demand[j] {
+	sv.stage(StageSolve, time.Since(tSolve), false)
+	st.Components = len(groups)
+	st.WallTime = time.Since(start)
+	st.Speedup = 1
+	if len(groups) > 1 && st.WallTime > 0 {
+		st.Speedup = float64(st.SequentialTime) / float64(st.WallTime)
+	}
+	sv.recordStats(st)
+	return alloc, nil
+}
+
+// compGroup is one connected component of the demand graph: its instance
+// rows and the sites they demand, both ascending.
+type compGroup struct {
+	rows  []int
+	sites []int
+}
+
+// siteUnion is a union-find over site indices. Its slices are reused
+// across groupings, each of which touches, and then resets, only the
+// sites its rows demand.
+type siteUnion struct {
+	parent  []int // -1 for a site no row of the current grouping demands
+	label   []int // root site -> component index, -1 before labeling
+	touched []int // sites with parent set, reset after each grouping
+	first   []int // per grouped row: its first demanded site, then its component
+	count   []int // per component: its rows, then its sites
+}
+
+func (u *siteUnion) find(s int) int {
+	for u.parent[s] != s {
+		u.parent[s] = u.parent[u.parent[s]] // path halving
+		s = u.parent[s]
+	}
+	return s
+}
+
+// group partitions rows — ascending instance rows — into the connected
+// components of the demand graph they span. Components come in the order
+// of their first row. Rows with no positive demand belong to no component
+// (they freeze at zero without entering a network) and are returned
+// apart, ascending. Sites no row demands belong to no component either:
+// their capacity is unreachable.
+func (u *siteUnion) group(in *Instance, rows []int) (comps []compGroup, zero []int) {
+	if m := in.NumSites(); len(u.parent) < m {
+		u.parent = make([]int, m)
+		u.label = make([]int, m)
+		for s := range u.parent {
+			u.parent[s], u.label[s] = -1, -1
+		}
+	}
+	u.first = u.first[:0]
+	for _, i := range rows {
+		first := -1
+		for s, d := range in.Demand[i] {
 			if d <= 0 {
 				continue
 			}
-			if first[j] < 0 {
-				first[j] = s
-			} else if ra, rb := find(first[j]), find(s); ra != rb {
-				parent[ra] = rb
+			if u.parent[s] < 0 {
+				u.parent[s] = s
+				u.touched = append(u.touched, s)
+			}
+			if first < 0 {
+				first = s
+			} else if ra, rb := u.find(first), u.find(s); ra != rb {
+				u.parent[ra] = rb
 			}
 		}
+		u.first = append(u.first, first)
 	}
-	label := make([]int, m)
-	for s := range label {
-		label[s] = -1
-	}
-	jobComp = make([]int, n)
-	for j := 0; j < n; j++ {
-		if first[j] < 0 {
-			jobComp[j] = -1
+	u.count = u.count[:0]
+	for k, f := range u.first {
+		if f < 0 {
+			zero = append(zero, rows[k])
 			continue
 		}
-		r := find(first[j])
-		if label[r] < 0 {
-			label[r] = ncomp
-			ncomp++
+		r := u.find(f)
+		if u.label[r] < 0 {
+			u.label[r] = len(u.count)
+			u.count = append(u.count, 0)
 		}
-		jobComp[j] = label[r]
+		u.first[k] = u.label[r]
+		u.count[u.label[r]]++
 	}
-	return jobComp, ncomp
+	// Rows and sites are carved out of one backing array each, sized by
+	// the counts, so a grouping costs a constant number of allocations.
+	comps = make([]compGroup, len(u.count))
+	backing := make([]int, len(rows)-len(zero))
+	for c, off := 0, 0; c < len(comps); c++ {
+		comps[c].rows = backing[off : off : off+u.count[c]]
+		off += u.count[c]
+	}
+	for k, c := range u.first {
+		if c >= 0 {
+			comps[c].rows = append(comps[c].rows, rows[k])
+		}
+	}
+	// A site is demanded by rows of exactly one component: any two rows
+	// demanding it were unioned through it.
+	slices.Sort(u.touched)
+	clear(u.count)
+	for _, s := range u.touched {
+		u.count[u.label[u.find(s)]]++
+	}
+	backing = make([]int, len(u.touched))
+	for c, off := 0, 0; c < len(comps); c++ {
+		comps[c].sites = backing[off : off : off+u.count[c]]
+		off += u.count[c]
+	}
+	for _, s := range u.touched {
+		c := u.label[u.find(s)]
+		comps[c].sites = append(comps[c].sites, s)
+	}
+	for _, s := range u.touched {
+		u.parent[s], u.label[s] = -1, -1
+	}
+	u.touched = u.touched[:0]
+	return comps, zero
 }
 
-// subInstance is one component materialized as an independent instance,
-// with the index maps needed to merge its solution back.
-type subInstance struct {
-	in     *Instance
-	jobs   []int // global job index per local row
-	sites  []int // global site index per local column
-	floors []float64
+// materialize builds component g as an independent instance: g's rows
+// restricted to g's sites, in g's order, with their weights and, when
+// floors (computed against the full instance) is non-nil, their floors.
+func materialize(in *Instance, g compGroup, floors []float64) (*Instance, []float64) {
+	nj, ns := len(g.rows), len(g.sites)
+	sub := &Instance{
+		SiteCapacity: make([]float64, ns),
+		Demand:       make([][]float64, nj),
+	}
+	for ls, s := range g.sites {
+		sub.SiteCapacity[ls] = in.SiteCapacity[s]
+	}
+	if in.Weight != nil {
+		sub.Weight = make([]float64, nj)
+	}
+	var subFloors []float64
+	if floors != nil {
+		subFloors = make([]float64, nj)
+	}
+	cells := make([]float64, nj*ns)
+	for lj, i := range g.rows {
+		row := cells[lj*ns : (lj+1)*ns : (lj+1)*ns]
+		for ls, s := range g.sites {
+			row[ls] = in.Demand[i][s]
+		}
+		sub.Demand[lj] = row
+		if sub.Weight != nil {
+			sub.Weight[lj] = in.Weight[i]
+		}
+		if subFloors != nil {
+			subFloors[lj] = floors[i]
+		}
+	}
+	return sub, subFloors
 }
 
-// buildSubInstances materializes each component. Sites untouched by any
-// job (and hence outside every component) are dropped: their capacity is
-// unreachable and cannot affect any allocation. floors, when non-nil, are
-// sliced per component — they were computed against the full instance.
-func buildSubInstances(in *Instance, floors []float64, jobComp []int, ncomp int) []subInstance {
-	n := in.NumJobs()
-	m := in.NumSites()
-	subs := make([]subInstance, ncomp)
-	// A site is touched by jobs of at most one component: any two jobs with
-	// positive demand at it were unioned through it.
-	siteSeen := make([]bool, m)
-	for j := 0; j < n; j++ {
-		c := jobComp[j]
-		if c < 0 {
-			continue
-		}
-		subs[c].jobs = append(subs[c].jobs, j)
-		for s, d := range in.Demand[j] {
-			if d > 0 && !siteSeen[s] {
-				siteSeen[s] = true
-				subs[c].sites = append(subs[c].sites, s)
-			}
-		}
-	}
-	for c := range subs {
-		sub := &subs[c]
-		nj, ns := len(sub.jobs), len(sub.sites)
-		si := &Instance{
-			SiteCapacity: make([]float64, ns),
-			Demand:       make([][]float64, nj),
-		}
-		for ls, s := range sub.sites {
-			si.SiteCapacity[ls] = in.SiteCapacity[s]
-		}
-		if in.Weight != nil {
-			si.Weight = make([]float64, nj)
-		}
-		if floors != nil {
-			sub.floors = make([]float64, nj)
-		}
-		for lj, j := range sub.jobs {
-			row := make([]float64, ns)
-			for ls, s := range sub.sites {
-				row[ls] = in.Demand[j][s]
-			}
-			si.Demand[lj] = row
-			if si.Weight != nil {
-				si.Weight[lj] = in.Weight[j]
-			}
-			if sub.floors != nil {
-				sub.floors[lj] = floors[j]
-			}
-		}
-		sub.in = si
-	}
-	return subs
+// componentRun is one component's solve on the worker pool.
+type componentRun struct {
+	// alloc is the local allocation: row lj is the group's rows[lj] and
+	// column ls its sites[ls].
+	alloc *Allocation
+	rep   approxReport
+	d     time.Duration
 }
 
-// fillDecomposed splits the instance into connected components and solves
-// each as an independent sub-instance on a bounded worker pool, merging
-// the per-component allocations. It reports done=false when the instance
-// has at most one component: the caller then takes the monolithic path on
-// the full instance, unchanged from the pre-decomposition behavior.
-func (sv *Solver) fillDecomposed(in *Instance, floors []float64) (*Allocation, bool, error) {
-	tPart := time.Now()
-	jobComp, ncomp := components(in)
-	if ncomp <= 1 {
-		// The union-find ran either way: report it, so the monolithic path
-		// the caller takes next starts from the same stage as this one.
-		sv.stage(StagePartition, time.Since(tPart), false)
-		return nil, false, nil
-	}
-	start := time.Now()
-	subs := buildSubInstances(in, floors, jobComp, ncomp)
-	alloc := NewAllocation(in)
-	sv.stage(StagePartition, time.Since(tPart), false)
-	tSolve := time.Now()
-
-	workers := sv.parallelism()
-	if workers > ncomp {
-		workers = ncomp
-	}
-	// perComp collects per-component solve wall times for detail stage
-	// events; workers write disjoint indices, so no lock is needed.
-	var perComp []time.Duration
-	if sv.OnStage != nil {
-		perComp = make([]time.Duration, ncomp)
-	}
-	// reps collects per-component approximate-path reports; same disjoint
-	// indexing as perComp.
-	reps := make([]approxReport, ncomp)
+// solveComponents materializes each group and solves it as an independent
+// instance (fillComponent: exact, or approximate per the solver's
+// routing) on a bounded worker pool. The calling goroutine is one of the
+// workers: the common commit solves a single component and should not pay
+// a spawn for it. Once the pool drains, the calling goroutine emits one
+// solve.component detail per group and one solve.approx detail per
+// approximately solved group; st carries their summed wall time and the
+// approximate-path record.
+func (sv *Solver) solveComponents(in *Instance, groups []compGroup, floors []float64) (runs []componentRun, st SolveStats, err error) {
+	runs = make([]componentRun, len(groups))
 	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		seqNS    atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
+		wg    sync.WaitGroup
+		next  atomic.Int64
+		errMu sync.Mutex
 	)
 	worker := func() {
 		defer wg.Done()
 		for {
-			c := int(next.Add(1)) - 1
-			if c >= ncomp {
+			k := int(next.Add(1)) - 1
+			if k >= len(groups) {
 				return
 			}
-			sub := &subs[c]
 			t0 := time.Now()
-			a, rep, err := sv.fillComponent(sub.in, sub.floors)
-			d := time.Since(t0)
-			reps[c] = rep
-			seqNS.Add(int64(d))
-			if perComp != nil {
-				perComp[c] = d
-			}
-			if err != nil {
+			sub, subFloors := materialize(in, groups[k], floors)
+			a, rep, ferr := sv.fillComponent(sub, subFloors)
+			runs[k] = componentRun{alloc: a, rep: rep, d: time.Since(t0)}
+			if ferr != nil {
 				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: component %d (%d jobs): %w", c, len(sub.jobs), err)
+				if err == nil {
+					err = fmt.Errorf("core: component %d (%d jobs): %w", k, len(groups[k].rows), ferr)
 				}
 				errMu.Unlock()
 				return
 			}
-			// Rows of alloc.Share are disjoint across components, so the
-			// merge needs no lock.
-			for lj, j := range sub.jobs {
-				row := alloc.Share[j]
-				for ls, s := range sub.sites {
-					row[s] = a.Share[lj][ls]
-				}
-			}
 		}
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, true, firstErr
-	}
-	for _, d := range perComp {
-		sv.stage(StageSolveComponent, d, true)
-	}
-	if sv.OnStage != nil {
-		for _, rep := range reps {
-			if rep.used {
-				sv.stage(StageSolveApprox, rep.d, true)
-			}
+	if workers := min(sv.parallelism(), len(groups)); workers > 0 {
+		wg.Add(workers)
+		for w := 1; w < workers; w++ {
+			go worker()
 		}
+		worker()
+		wg.Wait()
 	}
-	// The merge is folded into the workers (share rows are disjoint across
-	// components), so the decomposed path emits no separate merge stage.
-	sv.stage(StageSolve, time.Since(tSolve), false)
-
-	st := SolveStats{
-		Components:     ncomp,
-		SequentialTime: time.Duration(seqNS.Load()),
-		WallTime:       time.Since(start),
+	if err != nil {
+		return nil, st, err
 	}
-	for c := range subs {
-		if nj := len(subs[c].jobs); nj > st.LargestComponent {
-			st.LargestComponent = nj
-		}
-		if reps[c].used {
+	for _, r := range runs {
+		st.SequentialTime += r.d
+		sv.stage(StageSolveComponent, r.d, true)
+	}
+	for _, r := range runs {
+		if r.rep.used {
 			st.ApproxComponents++
-			if reps[c].errBound > st.ApproxErrorBound {
-				st.ApproxErrorBound = reps[c].errBound
-			}
+			st.ApproxErrorBound = max(st.ApproxErrorBound, r.rep.errBound)
+			sv.stage(StageSolveApprox, r.rep.d, true)
 		}
 	}
-	if st.WallTime > 0 {
-		st.Speedup = float64(st.SequentialTime) / float64(st.WallTime)
-	}
-	sv.recordStats(st)
-	return alloc, true, nil
+	return runs, st, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -58,15 +60,33 @@ func randSparseInstance(rng *rand.Rand, weighted bool) (*Instance, int) {
 	return in, blocks
 }
 
+// wholeNetwork solves in as one flow network, without the component
+// decomposition: the AMFDiag/EnhancedAMFDiag reference.
+func wholeNetwork(t *testing.T, sv *Solver, in *Instance, enhanced bool) *Allocation {
+	t.Helper()
+	var a *Allocation
+	var err error
+	if enhanced {
+		a, _, err = sv.EnhancedAMFDiag(in)
+	} else {
+		a, _, err = sv.AMFDiag(in)
+	}
+	if err != nil {
+		t.Fatalf("whole-network reference (enhanced=%v): %v", enhanced, err)
+	}
+	return a
+}
+
 // TestDecomposedMatchesMonolithic is the equivalence property test: on
 // random sparse instances, the component-decomposed parallel solve and the
-// monolithic solve produce the same AMF aggregate vector (the AMF vector
-// is unique; the per-site split is only a witness). Run under -race in CI,
-// this also exercises the merge and the scratch pool for data races.
+// whole-network solve produce the same AMF aggregate vector (the AMF
+// vector is unique; the per-site split is only a witness). Run under -race
+// in CI, this also exercises the merge and the scratch pool for data
+// races.
 func TestDecomposedMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	dec := &Solver{}                  // decomposed, parallel (default)
-	mono := &Solver{Monolithic: true} // single network
+	dec := &Solver{}  // decomposed, parallel (default)
+	mono := &Solver{} // single network, through AMFDiag
 	for trial := 0; trial < 200; trial++ {
 		in, blocks := randSparseInstance(rng, trial%2 == 1)
 		tol := 1e-9 * in.Scale()
@@ -86,7 +106,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 				return a
 			}
 			got := solve(dec)
-			want := solve(mono)
+			want := wholeNetwork(t, mono, in, enhanced)
 			for j := range want.Share {
 				if d := math.Abs(got.Aggregate(j) - want.Aggregate(j)); d > tol {
 					t.Fatalf("trial %d (enhanced=%v, blocks=%d): job %d aggregate %g (decomposed) vs %g (monolithic), |diff| %g > %g",
@@ -105,9 +125,10 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 }
 
 // TestSingleComponentTakesMonolithicPath checks that a fully connected
-// instance bypasses decomposition entirely: the default solver must report
-// one component and produce a split bit-for-bit identical to the
-// explicitly monolithic solver (same code path, same arithmetic).
+// instance is a one-component run: the default solver must report one
+// component and produce a split bit-for-bit identical to the whole-network
+// AMFDiag solve (the component is the whole instance, so it is the same
+// arithmetic).
 func TestSingleComponentTakesMonolithicPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := &Instance{
@@ -121,12 +142,12 @@ func TestSingleComponentTakesMonolithicPath(t *testing.T) {
 		}
 	}
 	dec := &Solver{}
-	mono := &Solver{Monolithic: true}
+	mono := &Solver{}
 	got, err := dec.AMF(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mono.AMF(in)
+	want, _, err := mono.AMFDiag(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +197,7 @@ func TestDecomposedZeroDemandAndUnusedSites(t *testing.T) {
 	if agg := a.Aggregate(3); agg != 0 {
 		t.Fatalf("zero-demand job got aggregate %g, want 0", agg)
 	}
-	mono, err := (&Solver{Monolithic: true}).AMF(in)
+	mono, _, err := (&Solver{}).AMFDiag(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +238,15 @@ func TestWarmSolverReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	big := randWeightedInstance(rng, 40, 8)
 	small := randInstance(rng, 3, 2)
-	sv := &Solver{Monolithic: true} // one network, maximal arena reuse
-	cold, err := sv.AMF(big)
+	sv := &Solver{} // one network through AMFDiag, maximal arena reuse
+	cold, _, err := sv.AMFDiag(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.AMF(small); err != nil {
+	if _, _, err := sv.AMFDiag(small); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sv.AMF(big)
+	warm, _, err := sv.AMFDiag(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +258,7 @@ func TestWarmSolverReuse(t *testing.T) {
 		}
 	}
 	sv.Reset()
-	after, err := sv.AMF(big)
+	after, _, err := sv.AMFDiag(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,29 +271,81 @@ func TestWarmSolverReuse(t *testing.T) {
 	}
 }
 
-// TestComponentsLabeling pins the union-find labeling itself.
+// TestComponentsLabeling pins the shared grouping: components in order
+// of their first row, rows and sites ascending, zero-demand rows apart,
+// and a reused union-find left clean for the next grouping.
 func TestComponentsLabeling(t *testing.T) {
 	in := &Instance{
-		SiteCapacity: []float64{1, 1, 1, 1},
+		SiteCapacity: []float64{1, 1, 1, 1, 1},
 		Demand: [][]float64{
-			{1, 0, 0, 0},
-			{0, 0, 1, 0},
-			{1, 1, 0, 0},
-			{0, 0, 0, 0},
-			{0, 1, 0, 0}, // bridges to comp of jobs 0,2 via site 1
+			{1, 0, 0, 0, 0},
+			{0, 0, 1, 0, 0},
+			{1, 1, 0, 0, 0},
+			{0, 0, 0, 0, 0},
+			{0, 1, 0, 0, 0}, // bridges to comp of jobs 0,2 via site 1
 		},
 	}
-	comp, ncomp := components(in)
-	if ncomp != 2 {
-		t.Fatalf("ncomp = %d, want 2", ncomp)
+	var u siteUnion
+	for pass := 0; pass < 2; pass++ {
+		comps, zero := u.group(in, []int{0, 1, 2, 3, 4})
+		want := []compGroup{{rows: []int{0, 2, 4}, sites: []int{0, 1}}, {rows: []int{1}, sites: []int{2}}}
+		if len(comps) != len(want) {
+			t.Fatalf("pass %d: %d components, want %d: %v", pass, len(comps), len(want), comps)
+		}
+		for c := range want {
+			if !slices.Equal(comps[c].rows, want[c].rows) || !slices.Equal(comps[c].sites, want[c].sites) {
+				t.Fatalf("pass %d: component %d = %+v, want %+v", pass, c, comps[c], want[c])
+			}
+		}
+		if !slices.Equal(zero, []int{3}) {
+			t.Fatalf("pass %d: zero-demand rows %v, want [3]", pass, zero)
+		}
 	}
-	if comp[3] != -1 {
-		t.Fatalf("zero-demand job labeled %d, want -1", comp[3])
+	// A subset of rows groups on its own: without jobs 0 and 2, job 4 is a
+	// component by itself.
+	comps, zero := u.group(in, []int{1, 4})
+	if len(comps) != 2 || len(zero) != 0 || !slices.Equal(comps[0].rows, []int{1}) || !slices.Equal(comps[1].sites, []int{1}) {
+		t.Fatalf("subset grouping = %+v, zero %v", comps, zero)
 	}
-	if comp[0] != comp[2] || comp[0] != comp[4] {
-		t.Fatalf("jobs 0,2,4 should share a component: %v", comp)
-	}
-	if comp[1] == comp[0] {
-		t.Fatalf("job 1 should be its own component: %v", comp)
+}
+
+// TestFromScratchRowIdenticalToIncremental: a from-scratch solve
+// (Solver.AMF/EnhancedAMF) and the incremental kernel's first solve run
+// the same component pipeline, so on random sparse instances — named
+// jobs, zero-demand jobs, sites no job demands — their rows must agree bit
+// for bit, not just within tolerance.
+func TestFromScratchRowIdenticalToIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 200; trial++ {
+		in, _ := randSparseInstance(rng, trial%2 == 1)
+		in.JobName = make([]string, in.NumJobs())
+		for j := range in.JobName {
+			in.JobName[j] = fmt.Sprintf("job%d", j)
+		}
+		for _, enhanced := range []bool{false, true} {
+			sv := &Solver{}
+			var want *Allocation
+			var err error
+			if enhanced {
+				want, err = sv.EnhancedAMF(in)
+			} else {
+				want, err = sv.AMF(in)
+			}
+			if err != nil {
+				t.Fatalf("trial %d (enhanced=%v): from scratch: %v", trial, enhanced, err)
+			}
+			got, err := (&IncrementalSolver{Enhanced: enhanced}).Solve(in, nil)
+			if err != nil {
+				t.Fatalf("trial %d (enhanced=%v): incremental: %v", trial, enhanced, err)
+			}
+			for j := range want.Share {
+				for s, v := range want.Share[j] {
+					if math.Float64bits(got.Share[j][s]) != math.Float64bits(v) {
+						t.Fatalf("trial %d (enhanced=%v, %d components): job %d site %d: incremental %v, from scratch %v",
+							trial, enhanced, sv.LastStats().Components, j, s, got.Share[j][s], v)
+					}
+				}
+			}
+		}
 	}
 }

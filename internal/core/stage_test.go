@@ -1,9 +1,6 @@
 package core
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // multiComponentInstance builds k independent 2-job/2-site blocks, so the
 // demand graph has exactly k connected components.
@@ -28,36 +25,19 @@ func multiComponentInstance(k int) *Instance {
 	return in
 }
 
-// TestSolverStageEventsDecomposed: the decomposed solve path reports
+// TestSolverStageEventsDecomposed: the component pipeline reports
 // validate, partition and solve stages in order, plus one detail event per
 // component, and the hook sees everything from the caller's goroutine.
 func TestSolverStageEventsDecomposed(t *testing.T) {
 	checkSolverStages(t, &Solver{}, 4)
 }
 
-// TestSolverStageEventsOneComponent: a one-component instance takes the
-// monolithic path and must report the same stages under the same names in
-// the same order — partition included, since the union-find ran — with the
-// whole solve as its single component detail.
+// TestSolverStageEventsOneComponent: a one-component instance is a
+// one-component run of the same pipeline and must report the same stages
+// under the same names in the same order, with the whole solve as its
+// single component detail.
 func TestSolverStageEventsOneComponent(t *testing.T) {
 	checkSolverStages(t, &Solver{}, 1)
-}
-
-// TestSolverStageEventsMonolithicFlag: with decomposition disabled no
-// partition runs, so none is reported; the rest is unchanged.
-func TestSolverStageEventsMonolithicFlag(t *testing.T) {
-	var order []string
-	sv := &Solver{Monolithic: true, OnStage: func(ev StageEvent) {
-		if !ev.Detail {
-			order = append(order, ev.Name)
-		}
-	}}
-	if _, err := sv.AMF(multiComponentInstance(3)); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{StageValidate, StageSolve}; !slices.Equal(order, want) {
-		t.Fatalf("stage order = %v, want %v", order, want)
-	}
 }
 
 // checkSolverStages solves a k-component instance through Solver.AMF and

@@ -123,7 +123,7 @@ type Stats struct {
 	// the most recent solve.
 	LastLargestComponent int
 	// LastSpeedup is the parallel speedup of the most recent solve
-	// (sequential component time / wall time; 1 for monolithic solves).
+	// (sequential component time / wall time; 1 for one-component solves).
 	LastSpeedup float64
 	// LastReused is the number of components the most recent solve did NOT
 	// re-solve: spliced from the previous solve's results or resurrected
