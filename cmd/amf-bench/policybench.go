@@ -35,7 +35,6 @@ type policyBenchOptions struct {
 // JSON file (BENCH_policy.json in CI).
 type policyBenchRow struct {
 	Policy         string  `json:"policy"`
-	Incremental    bool    `json:"incremental"`
 	MedianCommitNS int64   `json:"median_commit_ns"`
 	P99CommitNS    int64   `json:"p99_commit_ns"`
 	LastReused     int     `json:"last_reused"`
@@ -163,7 +162,6 @@ func policyBenchPass(ch *workload.Churn, pol policy.Policy) (policyBenchRow, err
 	st := sc.Stats()
 	row := policyBenchRow{
 		Policy:         pol.Name(),
-		Incremental:    pol.Capabilities().Incremental,
 		MedianCommitNS: times[len(times)/2],
 		P99CommitNS:    times[len(times)*99/100],
 		LastReused:     st.LastReused,

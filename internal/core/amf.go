@@ -104,11 +104,17 @@ func (sv *Solver) maxNewton() int {
 // feasible allocations. The returned allocation carries a witness per-site
 // split realizing the aggregates; use OptimizeJCT to pick the split that
 // minimizes completion times.
-func (sv *Solver) AMF(in *Instance) (*Allocation, error) {
+func (sv *Solver) AMF(in *Instance) (*Allocation, error) { return sv.Solve(in, KernelAMF) }
+
+// Solve validates in and solves every connected component of it under
+// kernel k — the one from-scratch entry of the component pipeline
+// (partition.go). Its rows are bit-identical to an IncrementalSolver's
+// with the same kernel.
+func (sv *Solver) Solve(in *Instance, k Kernel) (*Allocation, error) {
 	if err := sv.validate(in); err != nil {
 		return nil, err
 	}
-	return sv.fill(in, nil)
+	return sv.fill(in, k)
 }
 
 // validate is Instance.Validate reported as the solve's first stage.
@@ -123,10 +129,7 @@ func (sv *Solver) validate(in *Instance) error {
 // is first guaranteed its isolated equal share (EqualShares), and the
 // remaining capacity is filled max-min fairly above those floors.
 func (sv *Solver) EnhancedAMF(in *Instance) (*Allocation, error) {
-	if err := sv.validate(in); err != nil {
-		return nil, err
-	}
-	return sv.fill(in, EqualShares(in))
+	return sv.Solve(in, KernelEnhanced)
 }
 
 // AMFLevels is like AMF but returns only the aggregate vector; used when

@@ -46,10 +46,10 @@ import (
 // demand, contributing no error. Feasibility is never approximated: the
 // final witness max-flow at the frozen levels must still check out.
 //
-// The path is wired as a size-triggered fast route (Solver.fillComponent):
-// components with more than ApproxThreshold jobs+edges take it, everything
-// else — and everything when ApproxEpsilon is 0 — runs the exact
-// fillMono bit-for-bit.
+// The path is wired as a size-triggered fast route of the AMF kernels
+// (Solver.fillComponent): components with more than ApproxThreshold
+// jobs+edges take it, everything else — and everything when ApproxEpsilon
+// is 0 — runs the exact fillMono bit-for-bit.
 
 // approxReport is the per-component record of an approximate solve,
 // carried back to the solve entry points that aggregate SolveStats and
@@ -95,21 +95,6 @@ func (sv *Solver) approxRoute(in *Instance) bool {
 		}
 	}
 	return false
-}
-
-// fillComponent solves one connected component, routing through the
-// approximate water-filling when the fast path is enabled and the
-// component is large enough. solveComponents emits the solve.approx stage
-// event from the report (not here: parallel workers must not fire the
-// OnStage hook concurrently).
-func (sv *Solver) fillComponent(in *Instance, floors []float64) (*Allocation, approxReport, error) {
-	if sv.approxRoute(in) {
-		t0 := time.Now()
-		alloc, bound, err := sv.approxFill(in, floors)
-		return alloc, approxReport{used: true, errBound: bound, d: time.Since(t0)}, err
-	}
-	alloc, err := sv.fillMono(in, floors, nil)
-	return alloc, approxReport{}, err
 }
 
 // approxLadder builds the candidate fill levels: equi-depth quantiles of

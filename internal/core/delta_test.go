@@ -133,8 +133,8 @@ func TestSolveDeltaMatchesWrapper(t *testing.T) {
 			}
 		}
 		tw := &deltaTwin{
-			wrap:  &IncrementalSolver{Enhanced: enhanced},
-			delta: &IncrementalSolver{Enhanced: enhanced},
+			wrap:  &IncrementalSolver{Kernel: amfKernel(enhanced)},
+			delta: &IncrementalSolver{Kernel: amfKernel(enhanced)},
 		}
 		// The first solve is fresh: the delta is ignored, so hand it none.
 		tw.step(t, fmt.Sprintf("stream %d init", stream), h.instance(), nil, nil)
@@ -240,7 +240,7 @@ func TestSolveDeltaCapacityChangeIsFull(t *testing.T) {
 	}
 	for _, enhanced := range []bool{false, true} {
 		caps := append([]float64(nil), h.caps...)
-		x := &IncrementalSolver{Enhanced: enhanced}
+		x := &IncrementalSolver{Kernel: amfKernel(enhanced)}
 		in := h.instance()
 		if _, err := x.SolveDelta(in, delta(in)); err != nil {
 			t.Fatal(err)
@@ -257,7 +257,7 @@ func TestSolveDeltaCapacityChangeIsFull(t *testing.T) {
 		if !up.Full {
 			t.Fatalf("enhanced=%v: capacity moved by one ulp but the update is not full", enhanced)
 		}
-		want, err := (&IncrementalSolver{Enhanced: enhanced}).Solve(in, nil)
+		want, err := (&IncrementalSolver{Kernel: amfKernel(enhanced)}).Solve(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -122,7 +122,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				h.addJob(rng, b, sitesPerBlock)
 			}
 		}
-		x := &IncrementalSolver{Enhanced: enhanced}
+		x := &IncrementalSolver{Kernel: amfKernel(enhanced)}
 		checkIncrementalMatches(t, fmt.Sprintf("stream %d init", stream), x, h.instance(), nil, enhanced)
 
 		for mut := 0; mut < mutations; mut++ {
@@ -228,7 +228,7 @@ func TestEnhancedWeightChangeInvalidatesAllComponents(t *testing.T) {
 			h.addJob(rng, b, spb)
 		}
 	}
-	x := &IncrementalSolver{Enhanced: true}
+	x := &IncrementalSolver{Kernel: KernelEnhanced}
 	if _, err := x.Solve(h.instance(), nil); err != nil {
 		t.Fatal(err)
 	}

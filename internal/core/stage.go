@@ -11,8 +11,8 @@ import "time"
 // solve), so their durations sum to the solve wall time up to
 // uninstrumented slack. Every entry point emits the subsequence it
 // executes, under the same names: the incremental solver all four;
-// Solver.AMF/EnhancedAMF validate, partition and solve — their merge (a
-// scatter of disjoint share rows) is folded into the solve stage.
+// Solver.Solve validate, partition and solve — its merge (a scatter of
+// disjoint share rows) is folded into the solve stage.
 //
 // Detail events report work that ran concurrently inside a stage (one per
 // solved component, on the worker pool) and overlap the enclosing "solve"

@@ -79,3 +79,11 @@ func sharingIncentiveInstance() *Instance {
 		},
 	}
 }
+
+// amfKernel names the AMF kernel the enhanced flag of a test table selects.
+func amfKernel(enhanced bool) Kernel {
+	if enhanced {
+		return KernelEnhanced
+	}
+	return KernelAMF
+}

@@ -6,74 +6,34 @@ import (
 	"repro/internal/core"
 )
 
-// The paper's single-resource disciplines, exposed as Policy
-// implementations. They are thin stateless wrappers over the shared core
-// solver: the solver's own component decomposition, worker pool and
-// approximate fast path do the heavy lifting, and the scheduler reads
-// core.SolveStats directly.
+// The paper's four disciplines. Each is a name and a per-component kernel
+// of the core solver's one component pipeline; the pipeline's
+// decomposition, worker pool and approximate fast path do the rest.
 var (
 	// AMF is aggregate max-min fairness, the paper's proposal.
-	AMF Policy = amfPolicy{}
+	AMF Policy = kernelPolicy{"amf", core.KernelAMF}
 	// AMFJCT is AMF plus the completion-time split optimization.
-	AMFJCT Policy = jctPolicy{}
+	AMFJCT Policy = kernelPolicy{"amf+jct", core.KernelJCT}
 	// EnhancedAMF preserves sharing incentive: equal-share floors from the
 	// global weight sum, max-min filling above them.
-	EnhancedAMF Policy = enhancedPolicy{}
+	EnhancedAMF Policy = kernelPolicy{"amf-enhanced", core.KernelEnhanced}
 	// PSMMF is the per-site max-min baseline the paper compares against.
-	PSMMF Policy = psmmfPolicy{}
+	PSMMF Policy = kernelPolicy{"psmmf", core.KernelPSMMF}
 )
 
-type amfPolicy struct{}
-
-func (amfPolicy) Name() string { return "amf" }
-func (amfPolicy) Capabilities() Capabilities {
-	return Capabilities{Incremental: true, Approx: true}
+type kernelPolicy struct {
+	name   string
+	kernel core.Kernel
 }
-func (amfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
+
+func (p kernelPolicy) Name() string        { return p.name }
+func (p kernelPolicy) Kernel() core.Kernel { return p.kernel }
+func (p kernelPolicy) Capabilities() Capabilities {
+	return Capabilities{GlobalWeightFloors: p.kernel == core.KernelEnhanced}
+}
+func (p kernelPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return solverOf(v).AMF(v.Inst)
-}
-
-type jctPolicy struct{}
-
-func (jctPolicy) Name() string { return "amf+jct" }
-func (jctPolicy) Capabilities() Capabilities {
-	// The JCT split depends on outstanding work, which the component
-	// fingerprint does not capture: from-scratch solves only.
-	return Capabilities{}
-}
-func (jctPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return solverOf(v).AMFWithJCT(v.Inst)
-}
-
-type enhancedPolicy struct{}
-
-func (enhancedPolicy) Name() string { return "amf-enhanced" }
-func (enhancedPolicy) Capabilities() Capabilities {
-	return Capabilities{Incremental: true, GlobalWeightFloors: true, Approx: true}
-}
-func (enhancedPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return solverOf(v).EnhancedAMF(v.Inst)
-}
-
-type psmmfPolicy struct{}
-
-func (psmmfPolicy) Name() string               { return "psmmf" }
-func (psmmfPolicy) Capabilities() Capabilities { return Capabilities{} }
-func (psmmfPolicy) Allocate(ctx context.Context, v *View) (*core.Allocation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := v.Inst.Validate(); err != nil {
-		return nil, err
-	}
-	return core.PerSiteMMF(v.Inst), nil
+	return solverOf(v).Solve(v.Inst, p.kernel)
 }

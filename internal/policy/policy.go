@@ -2,11 +2,12 @@
 // allocation disciplines — AMF, AMF with the completion-time add-on,
 // Enhanced AMF and the per-site max-min baseline — sit behind one Policy
 // interface, so the scheduler, serving engine, API, cluster router and WAL
-// are all policy-agnostic. A policy declares its capabilities (incremental
-// re-solving, global weight floors, approximate fast path) and the layers
-// above adapt: the scheduler keeps its dirty-set/incremental machinery only
-// for policies that support it, and the cluster router broadcasts the
-// weight sum only for policies that need it.
+// are all policy-agnostic. A policy is a name and a core.Kernel: every
+// discipline decomposes exactly by connected component, so the scheduler's
+// incremental solver and a from-scratch Allocate run the same
+// per-component kernel. The one capability a layer above adapts to is
+// GlobalWeightFloors: the cluster router broadcasts the weight sum only
+// for policies that need it.
 package policy
 
 import (
@@ -16,22 +17,14 @@ import (
 	"repro/internal/core"
 )
 
-// Capabilities declares what machinery a policy can ride. The layers
-// above consult these instead of switching on policy identity.
+// Capabilities declares what the layers above must do for a policy. They
+// consult these instead of switching on policy identity.
 type Capabilities struct {
-	// Incremental: the policy's shares depend only on weights, demands and
-	// capacities — all captured by the component fingerprint — so the
-	// scheduler may run it through core.IncrementalSolver, re-solving only
-	// dirty components.
-	Incremental bool
 	// GlobalWeightFloors: the policy's allocation depends on the global
 	// share-weight sum (Enhanced AMF's equal-share floors). The cluster
 	// router must broadcast W − W_shard to every shard, and a weight-sum
 	// change invalidates every cached component.
 	GlobalWeightFloors bool
-	// Approx: the policy honors the solver's approximate water-filling
-	// knobs (ApproxEpsilon/ApproxThreshold).
-	Approx bool
 }
 
 // View is the read-only problem a policy allocates over: the scheduler's
@@ -49,6 +42,8 @@ type Policy interface {
 	// Name is the stable identifier used by flags, the HTTP API, snapshot
 	// headers and cluster agreement checks.
 	Name() string
+	// Kernel is the per-component discipline the core solver runs.
+	Kernel() core.Kernel
 	Capabilities() Capabilities
 	// Allocate computes the policy's allocation for the view. The returned
 	// allocation's Share rows are aligned with view.Inst.JobName.

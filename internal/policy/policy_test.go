@@ -27,9 +27,9 @@ func TestForNameRoundTrip(t *testing.T) {
 
 func TestCapabilityMatrix(t *testing.T) {
 	want := map[string]Capabilities{
-		"amf":          {Incremental: true, Approx: true},
+		"amf":          {},
 		"amf+jct":      {},
-		"amf-enhanced": {Incremental: true, GlobalWeightFloors: true, Approx: true},
+		"amf-enhanced": {GlobalWeightFloors: true},
 		"psmmf":        {},
 	}
 	for _, name := range Names() {
@@ -57,6 +57,48 @@ func TestAllocateRespectsContext(t *testing.T) {
 		}
 		if _, err := p.Allocate(ctx, &View{Inst: in}); err == nil {
 			t.Fatalf("%s: cancelled context accepted", name)
+		}
+	}
+}
+
+// TestPolicyKernels pins each policy's per-component kernel — a policy's
+// whole behaviour — and checks that Allocate is exactly the core solver's
+// solve under that kernel.
+func TestPolicyKernels(t *testing.T) {
+	want := map[string]core.Kernel{
+		"amf":          core.KernelAMF,
+		"amf+jct":      core.KernelJCT,
+		"amf-enhanced": core.KernelEnhanced,
+		"psmmf":        core.KernelPSMMF,
+	}
+	in := &core.Instance{
+		SiteCapacity: []float64{2, 3, 1},
+		Demand:       [][]float64{{2, 1, 0}, {0, 3, 0}, {0, 0, 2}, {1, 0, 0}},
+		Work:         [][]float64{{4, 1, 0}, {0, 3, 0}, {0, 0, 5}, {1, 0, 1}},
+		Weight:       []float64{1, 2, 1, 0.5},
+	}
+	for _, name := range Names() {
+		p, err := ForName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Kernel() != want[name] {
+			t.Fatalf("%s: kernel %d, want %d", name, p.Kernel(), want[name])
+		}
+		got, err := p.Allocate(context.Background(), &View{Inst: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.NewSolver().Solve(in, want[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range ref.Share {
+			for s, v := range ref.Share[j] {
+				if got.Share[j][s] != v {
+					t.Fatalf("%s: job %d site %d: Allocate %v, Solve %v", name, j, s, got.Share[j][s], v)
+				}
+			}
 		}
 	}
 }

@@ -8,21 +8,20 @@
 // The controller is deliberately synchronous and deterministic: mutations
 // record the touched job IDs in a dirty set, and Allocation()/Shares()
 // lazily re-solve. The allocation discipline is a policy.Policy chosen
-// per controller (and switchable at runtime via SetPolicy): policies that
-// declare incremental support (AMF, Enhanced AMF) re-solve through
-// core.IncrementalSolver — only the connected components the dirty jobs
-// belong to are re-solved, the rest are spliced from carried or cached
-// results — while the rest (AMF+JCT, PS-MMF) solve from scratch. All
-// methods are safe for concurrent use.
+// per controller (and switchable at runtime via SetPolicy). Every policy
+// is a per-component kernel of the core solver, so every solve runs
+// through one core.IncrementalSolver running the policy's kernel: only the
+// connected components the dirty jobs belong to are re-solved, the rest
+// are spliced from carried or cached results. All methods are safe for
+// concurrent use.
 //
 // What a solve hands out is carried, not rebuilt: the instance view is a
-// cached shell patched copy-on-write per mutation, and on the incremental
-// path the share map is the previous map with only the re-solved
-// components' rows replaced (see viewLocked and installDeltaLocked).
+// cached shell patched copy-on-write per mutation, and the share map is
+// the previous map with only the re-solved components' rows replaced (see
+// viewLocked and installDeltaLocked).
 package scheduler
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -55,9 +54,10 @@ type Config struct {
 	Policy policy.Policy
 	// Solver overrides the default core solver.
 	Solver *core.Solver
-	// DisableIncremental forces every solve to run from scratch, even under
-	// the AMF/Enhanced-AMF policies that support incremental re-solving.
-	// Used by benchmarks and as the reference in equivalence tests.
+	// DisableIncremental forces every solve to run from scratch: the
+	// incremental solver drops its carried state before each solve, so
+	// every component is dirty. Used by benchmarks and as the reference in
+	// equivalence tests.
 	DisableIncremental bool
 	// ApproxEpsilon and ApproxThreshold arm the approximate water-filling
 	// fast path on the underlying solver (see core.Solver): components
@@ -115,15 +115,14 @@ type Stats struct {
 	// TotalSolveTime accumulates wall-clock time spent in the allocator.
 	TotalSolveTime time.Duration
 	// LastComponents is the number of connected components of the demand
-	// graph the most recent solve decomposed into (see core.SolveStats);
-	// zero when the most recent solve never ran the core solver (e.g.
-	// PS-MMF).
+	// graph the most recent solve decomposed into (see core.SolveStats).
 	LastComponents int
 	// LastLargestComponent is the job count of the largest component of
 	// the most recent solve.
 	LastLargestComponent int
-	// LastSpeedup is the parallel speedup of the most recent solve
-	// (sequential component time / wall time; 1 for one-component solves).
+	// LastSpeedup is the parallel speedup of the most recent solve's
+	// worker pool (sequential component time / pool wall time; 1 when at
+	// most one component was re-solved).
 	LastSpeedup float64
 	// LastReused is the number of components the most recent solve did NOT
 	// re-solve: spliced from the previous solve's results or resurrected
@@ -133,7 +132,7 @@ type Stats struct {
 	// actually re-solved.
 	LastResolved int
 	// CacheHits/CacheMisses accumulate component fingerprint-cache lookups
-	// across the controller's lifetime (incremental path only).
+	// across the controller's lifetime.
 	CacheHits   int64
 	CacheMisses int64
 	// GlobalInvalidations counts Enhanced-AMF floor invalidations: solves
@@ -170,23 +169,21 @@ type Scheduler struct {
 	shares map[string][]float64
 	fair   fairness.Partial
 	// dirty is the set of job IDs mutated since the last solve: the delta
-	// the incremental solver is owed (the flat path drops it). needSolve
-	// records whether anything the allocation depends on changed since the
-	// last solve — a superset of dirty, since removals, the external weight
-	// and the solver knobs change it without dirtying a job.
+	// the incremental solver is owed. needSolve records whether anything
+	// the served allocation depends on changed since the last solve. The
+	// two differ both ways: removals, the external weight and the solver
+	// knobs need a solve without dirtying a job, and progress under the
+	// JCT kernel dirties its job without needing one (hysteresis).
 	dirty     map[string]bool
 	needSolve bool
-	inc       *core.IncrementalSolver
+	// inc runs every solve under the policy's kernel. Anything that
+	// invalidates what it carries — a policy or knob switch, a restore, a
+	// failed solve — Resets it, so its next Update is Full.
+	inc *core.IncrementalSolver
 	// removed lists the jobs dropped since the incremental solver last ran
-	// — with dirty, the delta it is owed. Only kept while one exists.
+	// — with dirty, the delta it is owed.
 	removed []string
-	// incSynced records that shares was installed from the incremental
-	// solver's records and from nothing else since, so the next
-	// incremental solve may carry the map forward and overwrite only what
-	// that solve changed. Any other install (flat, restore) or a failed
-	// solve clears it, and the next install is a full one.
-	incSynced bool
-	capRow    []float64 // immutable capacity row shared by all views
+	capRow  []float64 // immutable capacity row shared by all views
 	// view is the cached instance shell (nil: rebuild on next use). It is
 	// immutable once handed out; mutations since are recorded — stale lists
 	// jobs whose slot must be refreshed, order[viewOrder:] the jobs to
@@ -198,7 +195,6 @@ type Scheduler struct {
 	// shards (core.Instance.ExternalWeight); zero standalone.
 	externalWeight float64
 	stats          Stats
-	lastSeq        uint64 // core SolveStats.Seq already folded into stats
 }
 
 // New returns an empty controller.
@@ -234,28 +230,16 @@ func New(cfg Config) (*Scheduler, error) {
 		shares:   make(map[string][]float64),
 		dirty:    make(map[string]bool),
 		capRow:   append([]float64(nil), cfg.SiteCapacity...),
+		inc:      &core.IncrementalSolver{Solver: cfg.Solver, Kernel: cfg.Policy.Kernel()},
 	}
-	sc.installIncrementalLocked()
 	return sc, nil
 }
 
-// installIncrementalLocked (re)builds the incremental solver according to
-// the current policy's declared capabilities. Policies whose shares
-// depend only on weights, demands and capacities — all captured by the
-// component fingerprint — declare Incremental and ride the dirty-set
-// path; the rest (AMF+JCT's work-dependent split, PS-MMF) solve from
-// scratch.
-func (sc *Scheduler) installIncrementalLocked() {
-	caps := sc.cfg.Policy.Capabilities()
-	if !sc.cfg.DisableIncremental && caps.Incremental {
-		sc.inc = &core.IncrementalSolver{
-			Solver:   sc.cfg.Solver,
-			Enhanced: caps.GlobalWeightFloors,
-		}
-	} else {
-		sc.inc = nil
-	}
-	sc.removed = nil // a new solver holds no state to remove from
+// resetSolverLocked drops everything the incremental solver carries: its
+// next solve is a full one, whatever the delta says.
+func (sc *Scheduler) resetSolverLocked() {
+	sc.inc.Reset()
+	sc.removed = nil
 }
 
 // PolicyName reports the active policy's wire name.
@@ -311,10 +295,10 @@ func (sc *Scheduler) SetPolicyName(name string) error {
 }
 
 // SetPolicy switches the allocation discipline at runtime. The switch is
-// a clean break: all carried incremental state is dropped, every live job
-// is marked dirty, and the next query runs a full resolve under the new
-// policy — no row computed under the old discipline can survive. Setting
-// the active policy again is a no-op.
+// a clean break: the solver takes the new policy's kernel and drops all
+// carried state, and the next query runs a full resolve — no row computed
+// under the old discipline can survive. Setting the active policy again
+// is a no-op.
 func (sc *Scheduler) SetPolicy(p policy.Policy) error {
 	if p == nil {
 		return fmt.Errorf("scheduler: nil policy")
@@ -331,11 +315,9 @@ func (sc *Scheduler) setPolicyLocked(p policy.Policy) {
 		return
 	}
 	sc.cfg.Policy = p
-	sc.installIncrementalLocked()
+	sc.inc.Kernel = p.Kernel()
+	sc.resetSolverLocked()
 	clear(sc.dirty)
-	for id := range sc.jobs {
-		sc.dirty[id] = true
-	}
 	sc.needSolve = true
 }
 
@@ -501,16 +483,13 @@ func (sc *Scheduler) removeLocked(id string) {
 	delete(sc.jobs, id)
 	delete(sc.dirty, id) // a removal is its own entry in the solver's delta
 	sc.view = nil        // rows shift: the shell is rebuilt on next use
-	if sc.inc != nil {
-		sc.removed = append(sc.removed, id)
-		// The list is consumed by the next incremental solve. If none
-		// comes (nobody reads) it must not grow with every removal
-		// forever: past a couple of job-set turnovers, dropping the
-		// solver's carried state is cheaper than describing what left it.
-		if len(sc.removed) > 2*len(sc.order)+64 {
-			sc.inc.Reset()
-			sc.removed = nil
-		}
+	sc.removed = append(sc.removed, id)
+	// The list is consumed by the next solve. If none comes (nobody reads)
+	// it must not grow with every removal forever: past a couple of
+	// job-set turnovers, dropping the solver's carried state is cheaper
+	// than describing what left it.
+	if len(sc.removed) > 2*len(sc.order)+64 {
+		sc.resetSolverLocked()
 	}
 	if i, ok := sc.orderIdx[id]; ok {
 		sc.order[i] = ""
@@ -541,6 +520,11 @@ func (sc *Scheduler) compactLocked() {
 // re-solved only when the demand topology changes — a site's work running
 // out, or the whole job completing — so steady progress does not churn
 // the allocation (hysteresis). It reports whether the job completed.
+//
+// Under the JCT kernel, the one kernel that reads outstanding work, steady
+// progress also dirties the job without forcing a solve: whichever solve
+// comes next re-splits the job's component with its current work, as a
+// from-scratch solve would.
 func (sc *Scheduler) ReportProgress(id string, done []float64) (completed bool, err error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -586,6 +570,9 @@ func (sc *Scheduler) ReportProgress(id string, done []float64) (completed bool, 
 		sc.stats.Completed++
 		sc.needSolve = true
 		return true, nil
+	}
+	if sc.inc.Kernel == core.KernelJCT {
+		sc.dirty[id] = true
 	}
 	return false, nil
 }
@@ -666,11 +653,9 @@ func (sc *Scheduler) setApproxLocked(eps float64, threshold int) {
 	cur.ApproxThreshold = threshold
 	sc.cfg.ApproxEpsilon = eps
 	sc.cfg.ApproxThreshold = threshold
-	if sc.inc != nil {
-		// Carried component results splice without re-fingerprinting, so a
-		// routing-knob change must drop them wholesale.
-		sc.inc.Reset()
-	}
+	// Carried component results splice without re-fingerprinting, so a
+	// routing-knob change must drop them wholesale.
+	sc.resetSolverLocked()
 	sc.needSolve = true
 }
 
@@ -893,73 +878,11 @@ func (sc *Scheduler) solveLocked() error {
 		sc.stats.Skipped++
 		return nil
 	}
-	if len(sc.jobs) == 0 && sc.inc == nil {
-		sc.installSharesLocked(sc.viewLocked(), nil)
-		sc.needSolve = false
-		return nil
-	}
 	start := time.Now()
 	in := sc.viewLocked()
-	var err error
-	if sc.inc != nil {
-		err = sc.solveIncrementalLocked(in)
-	} else {
-		err = sc.solveFlatLocked(in)
+	if sc.cfg.DisableIncremental {
+		sc.resetSolverLocked()
 	}
-	if err != nil {
-		return err
-	}
-	d := time.Since(start)
-	sc.stats.LastSolve = d
-	sc.stats.TotalSolveTime += d
-	sc.updateSolveTelemetryLocked()
-	if sc.cfg.OnSolve != nil {
-		sc.cfg.OnSolve(d)
-	}
-	return nil
-}
-
-// updateSolveTelemetryLocked folds the solver's decomposition record into
-// Stats. The core solver's Seq counter distinguishes "the solver ran and
-// recorded fresh numbers" from "this solve never entered the core solver"
-// (PS-MMF, empty job set): in the latter case the previous solve's
-// numbers are stale and must be reset, not carried.
-func (sc *Scheduler) updateSolveTelemetryLocked() {
-	ss := sc.cfg.Solver.LastStats()
-	ran := ss.Seq != sc.lastSeq
-	sc.lastSeq = ss.Seq
-	if !ran {
-		sc.stats.LastComponents = 0
-		sc.stats.LastLargestComponent = 0
-		sc.stats.LastSpeedup = 0
-		sc.stats.LastReused = 0
-		sc.stats.LastResolved = 0
-		sc.stats.LastApproxComponents = 0
-		sc.stats.LastApproxErrorBound = 0
-		return
-	}
-	sc.stats.LastComponents = ss.Components
-	sc.stats.LastLargestComponent = ss.LargestComponent
-	sc.stats.LastSpeedup = ss.Speedup
-	sc.stats.LastApproxComponents = ss.ApproxComponents
-	sc.stats.LastApproxErrorBound = ss.ApproxErrorBound
-	if sc.inc != nil {
-		ist := sc.inc.LastStats()
-		sc.stats.LastReused = ist.Reused + ist.CacheHits
-		sc.stats.LastResolved = ist.Solved
-		sc.stats.CacheHits = ist.TotalCacheHits
-		sc.stats.CacheMisses = ist.TotalCacheMisses
-		sc.stats.GlobalInvalidations = ist.GlobalInvalidations
-	} else {
-		// From-scratch solve: every component it saw was re-solved.
-		sc.stats.LastReused = 0
-		sc.stats.LastResolved = ss.Components
-	}
-}
-
-// solveIncrementalLocked re-solves only the components touched by the
-// accumulated dirty set, and consumes it on success.
-func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	changed := make([]string, 0, len(sc.dirty))
 	for id := range sc.dirty {
 		changed = append(changed, id)
@@ -968,7 +891,7 @@ func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	if err != nil {
 		// Some components' records may have landed before the failure;
 		// the carried map never saw them, so the next install is full.
-		sc.incSynced = false
+		sc.resetSolverLocked()
 		return fmt.Errorf("scheduler: %w", err)
 	}
 	sc.stats.Solves++
@@ -976,56 +899,41 @@ func (sc *Scheduler) solveIncrementalLocked(in *core.Instance) error {
 	clear(sc.dirty)
 	sc.removed = sc.removed[:0]
 	sc.needSolve = false
+	d := time.Since(start)
+	sc.stats.LastSolve = d
+	sc.stats.TotalSolveTime += d
+	ist := sc.inc.LastStats()
+	sc.stats.LastComponents = ist.Components
+	sc.stats.LastLargestComponent = ist.LargestComponent
+	sc.stats.LastSpeedup = ist.Speedup
+	sc.stats.LastApproxComponents = ist.ApproxComponents
+	sc.stats.LastApproxErrorBound = ist.ApproxErrorBound
+	sc.stats.LastReused = ist.Reused + ist.CacheHits
+	sc.stats.LastResolved = ist.Solved
+	sc.stats.CacheHits = ist.TotalCacheHits
+	sc.stats.CacheMisses = ist.TotalCacheMisses
+	sc.stats.GlobalInvalidations = ist.GlobalInvalidations
+	if sc.cfg.OnSolve != nil {
+		sc.cfg.OnSolve(d)
+	}
 	return nil
 }
 
-// solveFlatLocked solves the whole view from scratch under the policy. It
-// only runs when no incremental solver exists, so nothing would ever
-// consume the dirty set: it is dropped (a later policy switch re-marks
-// every live job itself).
-func (sc *Scheduler) solveFlatLocked(in *core.Instance) error {
-	alloc, err := sc.cfg.Policy.Allocate(context.Background(),
-		&policy.View{Inst: in, Solver: sc.cfg.Solver})
-	if err != nil {
-		return fmt.Errorf("scheduler: %w", err)
-	}
-	sc.stats.Solves++
-	sc.installSharesLocked(in, alloc.Share)
-	clear(sc.dirty)
-	sc.needSolve = false
-	return nil
-}
-
-// installSharesLocked replaces the share map with a whole allocation's
-// rows (share[i] belongs to in.JobName[i]) and summarizes their fairness
-// partial — the install of the paths that produce every row at once
-// (flat policies, the empty job set). Rows are installed by reference
-// and treated as immutable from here on: the allocator made them fresh.
-func (sc *Scheduler) installSharesLocked(in *core.Instance, share [][]float64) {
-	sc.shares = make(map[string][]float64, len(in.JobName))
-	for i, id := range in.JobName {
-		sc.shares[id] = share[i]
-	}
-	sc.fair = fairness.PartialOf(share, in.JobWeight)
-	sc.incSynced = false
-}
-
-// installDeltaLocked installs an incremental solve: the next share map is
-// the previous one with the removed jobs dropped and only the rows of the
-// components this solve changed overwritten, by reference, from the
-// solver's immutable records. The previous map is never written — readers
-// may hold it — so the carry is one clone; when the solve changed nothing
-// the same map stays installed. The fairness partial comes reduced from
-// the solver's per-component records.
+// installDeltaLocked installs a solve: the next share map is the previous
+// one with the removed jobs dropped and only the rows of the components
+// this solve changed overwritten, by reference, from the solver's
+// immutable records. The previous map is never written — readers may hold
+// it — so the carry is one clone; when the solve changed nothing the same
+// map stays installed. The fairness partial comes reduced from the
+// solver's per-component records.
 func (sc *Scheduler) installDeltaLocked(in *core.Instance, up *core.Update) {
 	sc.fair = up.Fairness
-	if up.Full || !sc.incSynced {
+	if up.Full {
 		// Nothing to carry: take every row from the solver.
 		sc.shares = make(map[string][]float64, len(in.JobName))
 		for _, id := range in.JobName {
 			sc.shares[id] = sc.inc.Row(id)
 		}
-		sc.incSynced = true
 		return
 	}
 	if len(up.Results) == 0 && len(up.Zero) == 0 && len(sc.removed) == 0 {
@@ -1056,9 +964,8 @@ type View struct {
 	Shares map[string][]float64
 	// Stats are the activity counters as of this solve.
 	Stats Stats
-	// Fairness summarizes the jobs' aggregate allocations: on the
-	// incremental path reduced from the solver's per-component partials, in
-	// component order; otherwise computed from the rows when installed.
+	// Fairness summarizes the jobs' aggregate allocations, reduced from the
+	// solver's per-component partials in component order.
 	Fairness fairness.Partial
 	// Policy is the active policy's wire name.
 	Policy string

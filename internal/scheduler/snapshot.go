@@ -101,21 +101,16 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 		}
 		seen[j.ID] = true
 	}
-	if sc.inc != nil {
-		// Every job the incremental solver holds leaves with the old set
-		// (restored jobs reusing a name are re-added through dirty).
-		for id := range sc.jobs {
-			sc.removed = append(sc.removed, id)
-		}
-	}
-	sc.incSynced = false
+	// The solver's carried set leaves with the old jobs: the next solve is a
+	// full one over the restored set.
+	sc.resetSolverLocked()
 	sc.view, sc.stale = nil, sc.stale[:0]
 	sc.jobs = make(map[string]*Job, len(snap.Jobs))
 	sc.order = sc.order[:0]
 	sc.orderIdx = make(map[string]int, len(snap.Jobs))
 	sc.holes = 0
 	sc.shares = map[string][]float64{}
-	sc.dirty = make(map[string]bool, len(snap.Jobs))
+	clear(sc.dirty)
 	sc.externalWeight = snap.ExternalWeight
 	for _, j := range snap.Jobs {
 		w := j.Weight
@@ -130,9 +125,6 @@ func (sc *Scheduler) Restore(snap Snapshot) error {
 		}
 		sc.orderIdx[j.ID] = len(sc.order)
 		sc.order = append(sc.order, j.ID)
-		// A restored job may reuse the name of a pre-restore job with
-		// different content: the incremental solver must revalidate it.
-		sc.dirty[j.ID] = true
 	}
 	if snap.Solver != nil {
 		sc.setApproxLocked(snap.Solver.ApproxEpsilon, snap.Solver.ApproxThreshold)

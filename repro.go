@@ -23,6 +23,9 @@
 //   - Solver.AMFWithJCT / Solver.OptimizeJCT — the completion-time add-on:
 //     redistributes each job's aggregate across sites to minimize
 //     completion-time stretch without touching the fair aggregates.
+//     AMFWithJCT runs the add-on per connected component of the demand
+//     graph, one stretch search each; OptimizeJCT runs it on whatever
+//     allocation it is given, as one search.
 //   - PerSiteMMF — the per-site max-min baseline the paper compares
 //     against.
 //
