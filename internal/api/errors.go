@@ -25,6 +25,9 @@ const (
 	// context was cancelled before the mutation committed. Retryable
 	// against a healthy (or restarted) controller.
 	CodeUnavailable = "unavailable"
+	// CodeInternal: the server could not encode its answer (a NaN or Inf
+	// in a response). Retrying against the same state fails the same way.
+	CodeInternal = "internal"
 )
 
 // Sentinel errors for errors.Is against client-side failures:
@@ -104,6 +107,8 @@ func StatusFor(code string) int {
 		return http.StatusConflict
 	case CodeUnavailable:
 		return http.StatusServiceUnavailable
+	case CodeInternal:
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

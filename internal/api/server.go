@@ -61,12 +61,14 @@
 //
 // Errors are returned as {"error": "...", "code": "..."} where code is one
 // of the stable constants in this package (invalid_argument → 400,
-// not_found → 404, already_exists → 409, unavailable → 503). The Go
+// not_found → 404, already_exists → 409, unavailable → 503, internal →
+// 500 for a response that cannot be encoded). The Go
 // client surfaces them as *APIError values matching the Err* sentinels
 // under errors.Is.
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -106,6 +108,11 @@ type Backend interface {
 	ReportProgress(ctx context.Context, id string, done []float64) (bool, error)
 	UpdateWeight(ctx context.Context, id string, weight float64) error
 	Shares(ctx context.Context, id string) ([]float64, error)
+	// Allocation returns every job's shares. The map and its rows are
+	// read-only: neither the backend nor the caller writes them after
+	// return. A later commit publishes a new map and replaces the rows it
+	// re-solved with new slices, handing every other row on by pointer;
+	// GET /v1/allocation keys its cached row encodings on exactly that.
 	Allocation(ctx context.Context) (map[string][]float64, error)
 	Stats() scheduler.Stats
 	Snapshot() scheduler.Snapshot
@@ -277,6 +284,7 @@ type Server struct {
 	reg        *obs.Registry
 	traces     *span.Recorder
 	slowTraces *span.SlowRecorder
+	alloc      allocBody
 }
 
 // NewBackendServer builds the API around a backend: a serving engine, the
@@ -392,10 +400,19 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
+// writeJSON encodes v before sending the status, so a value encoding/json
+// refuses (a NaN or Inf anywhere in it) answers 500 with an error body
+// instead of the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(errorResponse{Error: err.Error(), Code: CodeInternal})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -598,15 +615,14 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := AllocationResponse{Jobs: make(map[string]SharesResponse, len(alloc))}
-	for id, shares := range alloc {
-		resp.Jobs[id] = sharesResponse(id, shares)
+	frags, err := s.alloc.fragments(alloc)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Code: CodeInternal})
+		return
 	}
 	// Read after the allocation: the version is at or after the map, so a
 	// reader polling for "version >= X" never sees stale data.
-	resp.Version = s.sc.SnapshotVersion()
-	resp.Policy = s.sc.PolicyName()
-	writeJSON(w, http.StatusOK, resp)
+	writeAllocation(w, frags, s.sc.SnapshotVersion(), s.sc.PolicyName())
 }
 
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, _ *http.Request) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -122,8 +123,17 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 	return mux
 }
 
+// writeJSON encodes v before sending the status, so a value encoding/json
+// refuses (a NaN or Inf anywhere in it) answers 500 with an error body
+// instead of the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(map[string]string{"error": err.Error(), "code": api.CodeInternal})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
