@@ -84,10 +84,6 @@ func BenchmarkE9Scalability(b *testing.B) { benchExperiment(b, "E9") }
 // fluid simulator agreement.
 func BenchmarkE10SlotFluidCrossCheck(b *testing.B) { benchExperiment(b, "E10") }
 
-// BenchmarkX1MultiResource regenerates Fig X1a/X1b: the multi-resource
-// (DRF) extension beyond the paper.
-func BenchmarkX1MultiResource(b *testing.B) { benchExperiment(b, "X1") }
-
 // BenchmarkX2ReallocAblation regenerates Fig X2: the re-allocation
 // frequency (staleness) ablation.
 func BenchmarkX2ReallocAblation(b *testing.B) { benchExperiment(b, "X2") }

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 

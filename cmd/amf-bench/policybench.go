@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -173,4 +174,24 @@ func policyBenchPass(ch *workload.Churn, pol policy.Policy) (policyBenchRow, err
 		row.CacheHitRatio = float64(st.CacheHits) / float64(total)
 	}
 	return row, nil
+}
+
+// engineTarget adapts the context-aware engine to the ctx-less churn
+// replay interface; the bench has no cancellation story.
+type engineTarget struct{ eng *serve.Engine }
+
+func (t engineTarget) AddJob(id string, weight float64, demand, work []float64) error {
+	return t.eng.AddJob(context.Background(), id, weight, demand, work)
+}
+
+func (t engineTarget) RemoveJob(id string) error {
+	return t.eng.RemoveJob(context.Background(), id)
+}
+
+func (t engineTarget) UpdateWeight(id string, weight float64) error {
+	return t.eng.UpdateWeight(context.Background(), id, weight)
+}
+
+func (t engineTarget) ReportProgress(id string, done []float64) (bool, error) {
+	return t.eng.ReportProgress(context.Background(), id, done)
 }

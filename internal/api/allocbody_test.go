@@ -368,7 +368,7 @@ func TestAllocationBodyBackendRows(t *testing.T) {
 }
 
 // TestWriteJSONNonFinite: a NaN or Inf in a response answers 500 with the
-// internal error body — on a writeJSON route and on GET /v1/allocation —
+// internal error body — on a WriteJSON route and on GET /v1/allocation —
 // never a 200 with an empty or NaN-bearing body. A later read after the
 // row is fixed is served normally.
 func TestWriteJSONNonFinite(t *testing.T) {

@@ -160,10 +160,10 @@ func (c ConfigResponse) RuntimeConfig() scheduler.RuntimeConfig {
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	rc, err := s.sc.RuntimeConfig(r.Context())
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ConfigResponse{
+	WriteJSON(w, http.StatusOK, ConfigResponse{
 		SiteCapacity: s.capacity,
 		Policy:       rc.Policy,
 		Solver: SolverConfigSection{
@@ -188,7 +188,7 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	if patch := req.Patch(); !patch.Empty() {
 		if err := s.sc.ApplyConfig(r.Context(), patch); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 	}
@@ -196,7 +196,7 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeFieldErrors(w http.ResponseWriter, body string, fields []FieldError) {
-	writeJSON(w, http.StatusBadRequest, ConfigPatchError{
+	WriteJSON(w, http.StatusBadRequest, ConfigPatchError{
 		errorResponse: errorResponse{
 			Error: body + " failed validation", Code: CodeInvalidArgument},
 		Fields: fields,
@@ -224,6 +224,6 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any, body string) bo
 			return false
 		}
 	}
-	writeError(w, err)
+	WriteError(w, err)
 	return false
 }

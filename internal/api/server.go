@@ -400,10 +400,10 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// writeJSON encodes v before sending the status, so a value encoding/json
+// WriteJSON encodes v before sending the status, so a value encoding/json
 // refuses (a NaN or Inf anywhere in it) answers 500 with an error body
 // instead of the intended status with an empty one.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	var body bytes.Buffer
 	if err := json.NewEncoder(&body).Encode(v); err != nil {
 		status = http.StatusInternalServerError
@@ -415,13 +415,15 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_, _ = w.Write(body.Bytes())
 }
 
-func writeError(w http.ResponseWriter, err error) {
+// WriteError answers err as an errorResponse under the status its stable
+// code maps to (CodeFor, StatusFor).
+func WriteError(w http.ResponseWriter, err error) {
 	code := CodeFor(err)
-	writeJSON(w, StatusFor(code), errorResponse{Error: err.Error(), Code: code})
+	WriteJSON(w, StatusFor(code), errorResponse{Error: err.Error(), Code: code})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ReadyResponse reports the backend's readiness. When Status is "unready"
@@ -439,12 +441,12 @@ type ReadyResponse struct {
 // fail-stop (serve.ErrWALFailed) — and 200 once caught up.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if err := s.sc.ReadyErr(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{
 			Status: "unready", Error: err.Error(), Code: CodeUnavailable,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyResponse{Status: "ready"})
+	WriteJSON(w, http.StatusOK, ReadyResponse{Status: "ready"})
 }
 
 // ExternalWeightRequest carries the cluster router's weight-sum broadcast:
@@ -456,20 +458,20 @@ type ExternalWeightRequest struct {
 func (s *Server) handleExternalWeight(w http.ResponseWriter, r *http.Request) {
 	ew, ok := s.sc.(ExternalWeighter)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		WriteJSON(w, http.StatusBadRequest, errorResponse{
 			Error: "backend does not support external weight", Code: CodeInvalidArgument})
 		return
 	}
 	var req ExternalWeightRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := ew.SetExternalWeight(r.Context(), req.Weight); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }
 
 // PolicyResponse reports the active fairness policy and the full set of
@@ -480,7 +482,7 @@ type PolicyResponse struct {
 }
 
 func (s *Server) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, PolicyResponse{
+	WriteJSON(w, http.StatusOK, PolicyResponse{
 		Policy:    s.sc.PolicyName(),
 		Available: policy.Names(),
 	})
@@ -492,14 +494,14 @@ func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "job id required", Code: CodeInvalidArgument})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "job id required", Code: CodeInvalidArgument})
 		return
 	}
 	if err := s.sc.AddJob(r.Context(), req.ID, req.Weight, req.Demand, req.Work); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
+	WriteJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // handleAddJobsBatch registers the whole set atomically through one
@@ -513,7 +515,7 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "jobs required", Code: CodeInvalidArgument})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "jobs required", Code: CodeInvalidArgument})
 		return
 	}
 	specs := make([]scheduler.JobSpec, len(req.Jobs))
@@ -527,7 +529,7 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if err == nil {
 		resp.Added = len(req.Jobs)
-		writeJSON(w, http.StatusCreated, resp)
+		WriteJSON(w, http.StatusCreated, resp)
 		return
 	}
 	var be *scheduler.BatchError
@@ -539,7 +541,7 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		code := CodeFor(err)
-		writeJSON(w, StatusFor(code), struct {
+		WriteJSON(w, StatusFor(code), struct {
 			errorResponse
 			BatchAddResponse
 		}{
@@ -548,29 +550,29 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeError(w, err)
+	WriteError(w, err)
 }
 
 func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request) {
 	if err := s.sc.RemoveJob(r.Context(), r.PathValue("id")); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "removed"})
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var req ProgressRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	done, err := s.sc.ReportProgress(r.Context(), r.PathValue("id"), req.Done)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ProgressResponse{Completed: done})
+	WriteJSON(w, http.StatusOK, ProgressResponse{Completed: done})
 }
 
 // WeightRequest updates a job's weight.
@@ -581,24 +583,24 @@ type WeightRequest struct {
 func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
 	var req WeightRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := s.sc.UpdateWeight(r.Context(), r.PathValue("id"), req.Weight); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }
 
 func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	shares, err := s.sc.Shares(r.Context(), id)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sharesResponse(id, shares))
+	WriteJSON(w, http.StatusOK, sharesResponse(id, shares))
 }
 
 func sharesResponse(id string, shares []float64) SharesResponse {
@@ -612,12 +614,12 @@ func sharesResponse(id string, shares []float64) SharesResponse {
 func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	alloc, err := s.sc.Allocation(r.Context())
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	frags, err := s.alloc.fragments(alloc)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Code: CodeInternal})
+		WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Code: CodeInternal})
 		return
 	}
 	// Read after the allocation: the version is at or after the map, so a
@@ -626,26 +628,26 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.sc.Snapshot())
+	WriteJSON(w, http.StatusOK, s.sc.Snapshot())
 }
 
 func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	var snap scheduler.Snapshot
 	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := s.sc.Restore(r.Context(), snap); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sc.Stats()
 	snap := s.reg.Snapshot()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Policy: s.sc.PolicyName(),
 		Solves: st.Solves, Skipped: st.Skipped, Jobs: st.Jobs, Completed: st.Completed,
 		LastSolveSeconds:    st.LastSolve.Seconds(),
@@ -707,7 +709,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
+			WriteJSON(w, http.StatusBadRequest, errorResponse{
 				Error: "limit must be a non-negative integer", Code: CodeInvalidArgument})
 			return
 		}
@@ -717,14 +719,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		resp.Slow = true
 		resp.Capacity = s.slowTraces.Cap()
 		resp.Traces = s.slowTraces.Slowest(limit)
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	if s.traces != nil {
 		resp.Capacity = s.traces.Cap()
 		resp.Traces = s.traces.Recent(limit)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ExplainResponse is the GET /v1/explain document: the water-filling
@@ -759,7 +761,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	job := r.URL.Query().Get("job")
 	res, err := s.sc.Explain(r.Context(), job)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	resp := ExplainResponse{
@@ -775,14 +777,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if resp.Job == nil {
 			// The backend validated existence; a nil row here means the job
 			// vanished between validation and derivation — treat as unknown.
-			writeError(w, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, job))
+			WriteError(w, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, job))
 			return
 		}
 	} else {
 		resp.Jobs = res.Explanation.Jobs
 		resp.Sites = res.Explanation.Sites
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePromMetrics serves the registry in Prometheus text exposition
@@ -798,7 +800,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, _ *http.Request) {
 // /v1/stats always report the same solver numbers.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mirrorSchedulerGauges()
-	writeJSON(w, http.StatusOK, s.reg.Snapshot())
+	WriteJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 // mirrorSchedulerGauges copies the controller's counters into gauges so

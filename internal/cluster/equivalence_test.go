@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 

@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 
@@ -72,8 +71,7 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 		if v := q.Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{
-					"error": "limit must be a non-negative integer", "code": api.CodeInvalidArgument})
+				api.WriteError(w, errors.New("limit must be a non-negative integer"))
 				return
 			}
 			limit = n
@@ -87,14 +85,13 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 			traces, err = r.Traces(req.Context(), limit)
 		}
 		if err != nil {
-			code := api.CodeFor(err)
-			writeJSON(w, api.StatusFor(code), map[string]string{"error": err.Error(), "code": code})
+			api.WriteError(w, err)
 			return
 		}
 		if traces == nil {
 			traces = []*span.Trace{}
 		}
-		writeJSON(w, http.StatusOK, api.TracesResponse{Slow: slow, Traces: traces})
+		api.WriteJSON(w, http.StatusOK, api.TracesResponse{Slow: slow, Traces: traces})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", obs.PromContentType)
@@ -106,11 +103,11 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 		for _, v := range vec {
 			sum += v
 		}
-		writeJSON(w, http.StatusOK, VersionsResponse{Shards: r.NumShards(), Versions: vec, Sum: sum})
+		api.WriteJSON(w, http.StatusOK, VersionsResponse{Shards: r.NumShards(), Versions: vec, Sum: sum})
 	})
 	mux.HandleFunc("GET /v1/cluster/stats", func(w http.ResponseWriter, req *http.Request) {
 		st := r.RouterStats()
-		writeJSON(w, http.StatusOK, RouterStatsResponse{
+		api.WriteJSON(w, http.StatusOK, RouterStatsResponse{
 			Jobs:              st.Jobs,
 			OwnedSites:        st.OwnedSites,
 			WeightSum:         st.WeightSum,
@@ -121,19 +118,4 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 		})
 	})
 	return mux
-}
-
-// writeJSON encodes v before sending the status, so a value encoding/json
-// refuses (a NaN or Inf anywhere in it) answers 500 with an error body
-// instead of the intended status with an empty one.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(v); err != nil {
-		status = http.StatusInternalServerError
-		body.Reset()
-		_ = json.NewEncoder(&body).Encode(map[string]string{"error": err.Error(), "code": api.CodeInternal})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body.Bytes())
 }

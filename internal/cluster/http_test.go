@@ -200,3 +200,24 @@ func TestRouterRejectsUnknownJobFields(t *testing.T) {
 		}
 	}
 }
+
+// TestTracesRejectsNegativeLimit: a bad ?limit on the router's trace
+// route answers with the standard API error body, 400 invalid_argument.
+func TestTracesRejectsNegativeLimit(t *testing.T) {
+	caps := []float64{1, 1}
+	shards, _ := newEngineShards(t, 2, caps, policy.AMF)
+	router, err := cluster.NewRouter(shards, policy.AMF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cluster.NewHandler(router, nil, caps, policy.AMF)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces?limit=-1", nil))
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q does not decode: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusBadRequest || body["code"] != api.CodeInvalidArgument || body["error"] == "" {
+		t.Fatalf("got %d %v, want 400 %q", rec.Code, body, api.CodeInvalidArgument)
+	}
+}

@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )

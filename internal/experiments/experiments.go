@@ -103,7 +103,6 @@ func registry() []runner {
 		{"E8", "Online simulation: JCT and utilization vs. load", E8OnlineSimulation},
 		{"E9", "Allocator scalability: Newton vs. bisection", E9Scalability},
 		{"E10", "Slot-granular vs. fluid cross-check", E10SlotFluidCrossCheck},
-		{"X1", "Extension: multi-resource (DRF) aggregate fairness", X1MultiResource},
 		{"X2", "Extension: re-allocation frequency ablation", X2ReallocAblation},
 		{"X3", "Extension: locality relaxation (remote spillover)", X3LocalityRelaxation},
 	}

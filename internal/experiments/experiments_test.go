@@ -12,7 +12,7 @@ func quickOpt() Options { return Options{Quick: true, Seed: 99} }
 
 func TestIDsAndRun(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 13 {
+	if len(ids) != 12 {
 		t.Fatalf("got %d experiments", len(ids))
 	}
 	entries := List()
@@ -234,21 +234,5 @@ func TestX3ShapeUsefulAwareDominates(t *testing.T) {
 	// The oblivious relaxation collapses at gamma=0.
 	if min.Y[1][0] > 0.05 {
 		t.Fatalf("oblivious min rate %g at gamma=0, expected collapse", min.Y[1][0])
-	}
-}
-
-func TestX1ShapeAggregateDRFBalances(t *testing.T) {
-	r := X1MultiResource(quickOpt())
-	jain := r.Series[0]
-	// Aggregate DRF must never be less balanced than the per-site
-	// baseline, and must stay near-perfect.
-	for i := range jain.X {
-		if jain.Y[1][i] < jain.Y[0][i]-1e-6 {
-			t.Fatalf("aggregate DRF less balanced at alpha=%g: %g < %g",
-				jain.X[i], jain.Y[1][i], jain.Y[0][i])
-		}
-		if jain.Y[1][i] < 0.95 {
-			t.Fatalf("aggregate DRF Jain %g at alpha=%g", jain.Y[1][i], jain.X[i])
-		}
 	}
 }

@@ -4,66 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fairness"
-	"repro/internal/multires"
-	"repro/internal/randx"
 	"repro/internal/sim"
 	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
-
-// X1MultiResource is an extension beyond the paper (marked as such in
-// DESIGN.md): aggregate max-min fairness generalized to multiple resource
-// types via dominant shares (DRF). It compares the balance of aggregate
-// dominant shares under Aggregate DRF vs. the per-site DRF baseline as
-// per-job placement skew grows — the multi-resource analogue of E1.
-func X1MultiResource(opt Options) Result {
-	opt = opt.withDefaults()
-	trials := opt.scaled(3, 1)
-	numJobs := opt.scaled(12, 6)
-	numSites := opt.scaled(4, 3)
-	var sv multires.Solver
-
-	jain := table.NewSeries("Fig X1a: Jain index of aggregate dominant shares",
-		"alpha", "persite-drf", "aggregate-drf")
-	ratio := table.NewSeries("Fig X1b: min/max ratio of aggregate dominant shares",
-		"alpha", "persite-drf", "aggregate-drf")
-	for _, alpha := range []float64{0, 1, 2} {
-		var jn, rt [2]stats.Summary
-		for trial := 0; trial < trials; trial++ {
-			in := mrWorkload(opt.Seed+uint64(trial)*101+uint64(alpha*1e3),
-				numJobs, numSites, alpha)
-			ps, err := multires.PerSiteDRF(in)
-			if err != nil {
-				panic(fmt.Sprintf("X1 persite: %v", err))
-			}
-			agg, err := sv.AggregateDRF(in)
-			if err != nil {
-				panic(fmt.Sprintf("X1 aggregate: %v", err))
-			}
-			for i, a := range []*multires.Allocation{ps, agg} {
-				ds := a.DominantShares()
-				jn[i].Add(fairness.JainIndex(ds))
-				rt[i].Add(fairness.MinMaxRatio(ds))
-			}
-		}
-		jain.AddPoint(alpha, jn[0].Mean(), jn[1].Mean())
-		ratio.AddPoint(alpha, rt[0].Mean(), rt[1].Mean())
-	}
-	return Result{
-		ID:     "X1",
-		Title:  "Extension: multi-resource (DRF) aggregate fairness",
-		Series: []*table.Series{jain, ratio},
-		Notes: []string{
-			fmt.Sprintf("%d jobs, %d sites, 2 resources (CPU/memory), mixed task shapes, %d trials per point",
-				numJobs, numSites, trials),
-			"extension beyond the paper's single-resource model; LP feasibility oracle (internal/lp)",
-			"expected shape: mirrors E1 — aggregate DRF balances dominant shares, the per-site baseline degrades with placement skew",
-		},
-	}
-}
 
 // X2ReallocAblation is the staleness ablation called out in DESIGN.md §8:
 // how much of AMF's completion-time advantage depends on event-driven
@@ -199,35 +145,4 @@ func X3LocalityRelaxation(opt Options) Result {
 			"expected: useful-maxmin dominates the pinned model at every gamma and meets it at gamma=0; the oblivious relaxation collapses at small gamma (it cannot see the discount)",
 		},
 	}
-}
-
-// mrWorkload generates a 2-resource instance: half the jobs CPU-heavy,
-// half memory-heavy, each job's task slots concentrated on its own hot
-// sites with Zipf(alpha).
-func mrWorkload(seed uint64, n, m int, alpha float64) *multires.Instance {
-	rng := randx.Stream(seed, "x1")
-	in := &multires.Instance{
-		SiteCapacity: make([][]float64, m),
-		TaskUse:      make([][]float64, n),
-		TaskCount:    make([][]float64, n),
-	}
-	for s := 0; s < m; s++ {
-		in.SiteCapacity[s] = []float64{16, 32}
-	}
-	zipf := workload.ZipfWeights(m, alpha)
-	for j := 0; j < n; j++ {
-		if j%2 == 0 {
-			in.TaskUse[j] = []float64{1 + rng.Float64(), 1 + rng.Float64()*2} // CPU-heavy
-		} else {
-			in.TaskUse[j] = []float64{0.5 + rng.Float64()*0.5, 3 + rng.Float64()*3} // memory-heavy
-		}
-		in.TaskCount[j] = make([]float64, m)
-		// Total slots sized so total demand oversubscribes the cluster.
-		total := float64(8 + rng.Intn(16))
-		order := rng.Perm(m)
-		for i, s := range order {
-			in.TaskCount[j][s] = total * zipf[i]
-		}
-	}
-	return in
 }

@@ -3,9 +3,10 @@
 //
 //	maximize c·x   subject to   A x ≤ b,  E x = f,  x ≥ 0.
 //
-// It is the feasibility oracle behind the multi-resource (DRF-style)
-// extension of the AMF allocator, where per-site vector capacities make
-// the feasible region a general polytope rather than a flow polytope.
+// It is the feasibility oracle behind the locality-relaxed allocator
+// (internal/spill), where useful-rate targets mix local and remote
+// variables per job-site pair and make the feasible region a general
+// polytope rather than a flow polytope.
 // Pivoting uses Bland's rule, so the solver cannot cycle; it is built for
 // correctness and the moderate sizes of this repository's experiments
 // (hundreds of variables), not for industrial scale.

@@ -60,9 +60,9 @@ func TestPromExpositionValid(t *testing.T) {
 func TestPromHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("solve")
-	h.Observe(time.Microsecond)      // lands in the first bucket
-	h.Observe(time.Millisecond)      // a later bucket
-	h.Observe(90 * time.Second)      // overflow bucket
+	h.Observe(time.Microsecond) // lands in the first bucket
+	h.Observe(time.Millisecond) // a later bucket
+	h.Observe(90 * time.Second) // overflow bucket
 	out := renderProm(t, r)
 
 	bucketRe := regexp.MustCompile(`amf_solve_seconds_bucket\{le="([^"]+)"\} (\d+)`)

@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
