@@ -360,13 +360,10 @@ func benchServeChurn(b *testing.B, disableIncremental bool) {
 	st := sc.Stats()
 	b.ReportMetric(float64(st.LastReused), "reused")
 	b.ReportMetric(float64(st.LastResolved), "resolved")
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		b.ReportMetric(float64(st.CacheHits)/float64(total), "hit_ratio")
-	}
 }
 
 // BenchmarkServeChurnIncremental commits single-component mutations with
-// dirty-component tracking and the fingerprint cache enabled.
+// dirty-component tracking enabled.
 func BenchmarkServeChurnIncremental(b *testing.B) { benchServeChurn(b, false) }
 
 // BenchmarkServeChurnFullResolve is the same stream with incremental

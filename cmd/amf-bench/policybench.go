@@ -20,7 +20,7 @@ import (
 // policyBenchOptions parameterizes the policy comparison benchmark
 // (-policybench): replay the SAME zipf-skewed churn stream through one
 // serving engine per fairness policy and compare per-commit latency and
-// cache behaviour across disciplines.
+// component reuse across disciplines.
 type policyBenchOptions struct {
 	components int
 	jobs       int // per component
@@ -35,14 +35,11 @@ type policyBenchOptions struct {
 // policyBenchRow is one policy's measurement in the -policybench-out
 // JSON file (BENCH_policy.json in CI).
 type policyBenchRow struct {
-	Policy         string  `json:"policy"`
-	MedianCommitNS int64   `json:"median_commit_ns"`
-	P99CommitNS    int64   `json:"p99_commit_ns"`
-	LastReused     int     `json:"last_reused"`
-	LastResolved   int     `json:"last_resolved"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`
+	Policy         string `json:"policy"`
+	MedianCommitNS int64  `json:"median_commit_ns"`
+	P99CommitNS    int64  `json:"p99_commit_ns"`
+	LastReused     int    `json:"last_reused"`
+	LastResolved   int    `json:"last_resolved"`
 }
 
 // policyBenchResult is the machine-readable record for the whole sweep.
@@ -95,7 +92,7 @@ func runPolicyBench(o policyBenchOptions) error {
 
 	fmt.Printf("Policy benchmark: %d components x %d jobs x %d sites, %d mutations (zipf %.2f), GOMAXPROCS=%d\n\n",
 		o.components, o.jobs, o.sites, o.mutations, o.zipf, res.GOMAXPROCS)
-	fmt.Printf("%-14s %14s %14s %12s\n", "policy", "median commit", "p99 commit", "cache hit%")
+	fmt.Printf("%-14s %14s %14s %12s\n", "policy", "median commit", "p99 commit", "last reused")
 
 	for _, name := range names {
 		pol, err := policy.ForName(name)
@@ -107,13 +104,10 @@ func runPolicyBench(o policyBenchOptions) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		res.Policies = append(res.Policies, row)
-		hit := "-"
-		if row.CacheHits+row.CacheMisses > 0 {
-			hit = fmt.Sprintf("%.1f%%", 100*row.CacheHitRatio)
-		}
 		fmt.Printf("%-14s %14v %14v %12s\n", name,
 			time.Duration(row.MedianCommitNS).Round(time.Microsecond),
-			time.Duration(row.P99CommitNS).Round(time.Microsecond), hit)
+			time.Duration(row.P99CommitNS).Round(time.Microsecond),
+			fmt.Sprintf("%d/%d", row.LastReused, row.LastReused+row.LastResolved))
 	}
 
 	if o.out != "" {
@@ -131,7 +125,7 @@ func runPolicyBench(o policyBenchOptions) error {
 
 // policyBenchPass replays the stream through an unbatched engine running
 // the given policy (one commit per mutation) and collects the latency
-// distribution plus the controller's final cache stats.
+// distribution plus the final solve's reuse counts.
 func policyBenchPass(ch *workload.Churn, pol policy.Policy) (policyBenchRow, error) {
 	sc, err := scheduler.New(scheduler.Config{
 		SiteCapacity: ch.Inst.SiteCapacity,
@@ -161,19 +155,13 @@ func policyBenchPass(ch *workload.Churn, pol policy.Policy) (policyBenchRow, err
 	}
 	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
 	st := sc.Stats()
-	row := policyBenchRow{
+	return policyBenchRow{
 		Policy:         pol.Name(),
 		MedianCommitNS: times[len(times)/2],
 		P99CommitNS:    times[len(times)*99/100],
 		LastReused:     st.LastReused,
 		LastResolved:   st.LastResolved,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		row.CacheHitRatio = float64(st.CacheHits) / float64(total)
-	}
-	return row, nil
+	}, nil
 }
 
 // engineTarget adapts the context-aware engine to the ctx-less churn

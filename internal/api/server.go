@@ -243,11 +243,10 @@ type StatsResponse struct {
 	LargestComponent  int     `json:"largest_component"`
 	LastSpeedup       float64 `json:"last_speedup"`
 	// Incremental-solve telemetry: components reused vs. re-solved by the
-	// most recent solve, and lifetime fingerprint-cache accounting.
+	// most recent solve, and the lifetime count of Enhanced-AMF weight-sum
+	// changes.
 	LastReused          int   `json:"last_reused"`
 	LastResolved        int   `json:"last_resolved"`
-	CacheHits           int64 `json:"cache_hits"`
-	CacheMisses         int64 `json:"cache_misses"`
 	GlobalInvalidations int64 `json:"global_invalidations"`
 	// Approximate water-filling telemetry from the most recent solve:
 	// components routed through the approximate path, and the solver's
@@ -657,8 +656,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LastSpeedup:         st.LastSpeedup,
 		LastReused:          st.LastReused,
 		LastResolved:        st.LastResolved,
-		CacheHits:           st.CacheHits,
-		CacheMisses:         st.CacheMisses,
 		GlobalInvalidations: st.GlobalInvalidations,
 		ApproxComponents:    st.LastApproxComponents,
 		ApproxErrorBound:    st.LastApproxErrorBound,
@@ -819,8 +816,6 @@ func (s *Server) mirrorSchedulerGauges() {
 	s.reg.Gauge("scheduler.last_speedup").Set(st.LastSpeedup)
 	s.reg.Gauge("scheduler.last_reused").Set(float64(st.LastReused))
 	s.reg.Gauge("scheduler.last_resolved").Set(float64(st.LastResolved))
-	s.reg.Gauge("scheduler.cache_hits").Set(float64(st.CacheHits))
-	s.reg.Gauge("scheduler.cache_misses").Set(float64(st.CacheMisses))
 	s.reg.Gauge("scheduler.global_invalidations").Set(float64(st.GlobalInvalidations))
 	s.reg.Gauge("scheduler.approx_components").Set(float64(st.LastApproxComponents))
 	s.reg.Gauge("scheduler.approx_error_bound").Set(st.LastApproxErrorBound)

@@ -731,8 +731,6 @@ func (r *Router) Stats() scheduler.Stats {
 		}
 		out.LastReused += st.LastReused
 		out.LastResolved += st.LastResolved
-		out.CacheHits += st.CacheHits
-		out.CacheMisses += st.CacheMisses
 		out.GlobalInvalidations += st.GlobalInvalidations
 	}
 	return out

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // newEngineShards builds n WAL-less engine shards, each over the full
@@ -348,5 +350,104 @@ func TestRouterCompletionFreesSites(t *testing.T) {
 	}
 	if _, err := r.Shares(ctx, "a"); !errors.Is(err, scheduler.ErrUnknownJob) {
 		t.Fatal("completed job still routed")
+	}
+}
+
+// TestRouterBroadcastKeepsSlackShardsReused runs amf-enhanced over two
+// shards. A write that changes the weight sum W on one shard makes the
+// router broadcast a new external weight to the other, which moves every
+// floor there. The other shard's components are slack — their plain-AMF
+// aggregates meet the floors — so its solve after the broadcast re-solves
+// none of them. After every acknowledged step the merged allocation
+// equals one monolithic scheduler's to 1e-9·Scale.
+func TestRouterBroadcastKeepsSlackShardsReused(t *testing.T) {
+	const m = 12
+	caps := make([]float64, m)
+	var bySite [2][]int // the sites whose own shard key lands on shard k
+	for s := range caps {
+		caps[s] = 4
+		key, _ := core.ShardKey([]int{s})
+		k := core.ShardOf(key, 2)
+		bySite[k] = append(bySite[k], s)
+	}
+	if len(bySite[0]) < 4 || len(bySite[1]) < 4 {
+		t.Fatalf("sites per shard %d/%d, want at least 4 each", len(bySite[0]), len(bySite[1]))
+	}
+	pol := policy.EnhancedAMF
+	shards, scs := newEngineShards(t, 2, caps, pol)
+	router, err := cluster.NewRouter(shards, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := scheduler.New(scheduler.Config{SiteCapacity: caps, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// apply runs one write on the router and the oracle, then compares the
+	// allocations.
+	apply := func(what string, write func(workload.ChurnTarget) error) {
+		t.Helper()
+		if err := write(routerTarget{router}); err != nil {
+			t.Fatalf("%s: router: %v", what, err)
+		}
+		if err := write(oracle); err != nil {
+			t.Fatalf("%s: oracle: %v", what, err)
+		}
+		want, err := oracle.Allocation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := router.Allocation(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffAllocs(t, what, got, want, 1e-9*4)
+	}
+
+	// Two components per shard, each of two jobs: one on two sites, one on
+	// the first of them.
+	for k := 0; k < 2; k++ {
+		for c := 0; c < 2; c++ {
+			sites := bySite[k][2*c : 2*c+2]
+			for j := 0; j < 2; j++ {
+				id := fmt.Sprintf("s%d-c%d-j%d", k, c, j)
+				apply("add "+id, func(b workload.ChurnTarget) error {
+					return b.AddJob(id, float64(1+j), demandAt(m, sites[:2-j]...), nil)
+				})
+			}
+		}
+	}
+
+	// Each weight-changing write lands on shard k; shard 1-k gets only the
+	// broadcast and must re-solve nothing.
+	for step, w := range []struct {
+		shard int
+		op    string
+	}{{0, "up"}, {0, "down"}, {1, "up"}, {1, "add"}, {1, "remove"}, {0, "add"}, {0, "remove"}, {1, "down"}} {
+		k := w.shard
+		other := scs[1-k]
+		before := other.Stats()
+		id := fmt.Sprintf("s%d-c0-j0", k)
+		extra := fmt.Sprintf("s%d-extra", k)
+		what := fmt.Sprintf("step %d: %s on shard %d", step, w.op, k)
+		apply(what, func(b workload.ChurnTarget) error {
+			switch w.op {
+			case "up":
+				return b.UpdateWeight(id, 3)
+			case "down":
+				return b.UpdateWeight(id, 0.5)
+			case "add":
+				return b.AddJob(extra, 2, demandAt(m, bySite[k][0]), nil)
+			default:
+				return b.RemoveJob(extra)
+			}
+		})
+		after := other.Stats()
+		if n := after.GlobalInvalidations - before.GlobalInvalidations; n != 1 {
+			t.Fatalf("%s: shard %d saw %d weight-sum changes, want 1", what, 1-k, n)
+		}
+		if after.LastResolved != 0 || after.LastReused != 2 {
+			t.Fatalf("%s: shard %d resolved %d reused %d, want 0/2", what, 1-k, after.LastResolved, after.LastReused)
+		}
 	}
 }

@@ -261,8 +261,6 @@ func (s HTTPShard) Stats(ctx context.Context) (scheduler.Stats, error) {
 		LastSpeedup:          resp.LastSpeedup,
 		LastReused:           resp.LastReused,
 		LastResolved:         resp.LastResolved,
-		CacheHits:            resp.CacheHits,
-		CacheMisses:          resp.CacheMisses,
 		GlobalInvalidations:  resp.GlobalInvalidations,
 	}, nil
 }

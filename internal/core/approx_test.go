@@ -164,9 +164,9 @@ func TestApproxThresholdRoutesSmallExact(t *testing.T) {
 }
 
 // TestApproxIncrementalWithinEpsilon drives the approximate path through
-// the incremental solver: the spliced result must respect the epsilon
-// budget against an exact from-scratch solve, and the fingerprint must
-// keep approximate and exact cache entries apart when epsilon changes.
+// the incremental solver: the result must respect the epsilon budget
+// against an exact from-scratch solve, and once the solver is switched to
+// exact and Reset, the re-solve must match the exact solve bit for bit.
 func TestApproxIncrementalWithinEpsilon(t *testing.T) {
 	in := workload.GenerateLargeGraph(workload.LargeGraphConfig{Jobs: 150, Sites: 20, Seed: 13})
 	in.JobName = make([]string, in.NumJobs())
@@ -197,8 +197,8 @@ func TestApproxIncrementalWithinEpsilon(t *testing.T) {
 		}
 	}
 
-	// Flipping the solver to exact must not splice the approximate cached
-	// result: after Reset the solve re-runs exactly.
+	// Flipping the solver to exact must not carry the approximate records:
+	// after Reset the solve re-runs exactly.
 	inc.Solver.ApproxEpsilon = 0
 	inc.Reset()
 	got2, err := inc.Solve(in, nil)

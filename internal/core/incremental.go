@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -13,16 +11,17 @@ import (
 )
 
 // Incremental solving: re-solve only the connected components a mutation
-// batch actually touched, splicing cached results for the rest.
+// batch actually touched, splicing carried results for the rest.
 //
 // The component decomposition (partition.go) makes each connected component
 // of the job×site demand graph an independent sub-problem, but a
 // from-scratch solve (Solver.Solve) still re-partitions and re-solves every
 // component. SolveDelta runs the same pipeline — grouping, materializer,
-// worker pool — on just the components a delta invalidated. In a serving
-// deployment most mutation batches are local — the paper's data-locality
-// premise means a batch typically touches one job in one component — so
-// an IncrementalSolver carries three pieces of state from solve to solve:
+// worker pool, the one per-component kernel fillComponent — on just the
+// components it cannot reuse. In a serving deployment most mutation
+// batches are local — the paper's data-locality premise means a batch
+// typically touches one job in one component — so an IncrementalSolver
+// carries two pieces of state from solve to solve:
 //
 //   - The partition itself. Union-find runs only over the jobs of affected
 //     components (those that gained, lost or changed a member, or own a
@@ -30,23 +29,22 @@ import (
 //     membership untouched. Merges and re-splits therefore cost time
 //     proportional to the components involved, not the instance.
 //
-//   - Per-component results. An untouched component's share rows are
-//     spliced from its previous solve without any hashing. A touched
-//     component is fingerprinted (job names, weights, demand/work rows,
-//     site capacities, and Enhanced-AMF floors) and looked up in a result
-//     cache before solving, so content that round-trips — a weight toggled
-//     back, a component re-split into a previously seen shape — costs a
-//     hash instead of a solve. Hash hits are verified byte-for-byte
-//     against the stored key, so a collision can never splice wrong rows.
+//   - One record per component (ComponentResult). A component no mutation
+//     touched keeps its record; a touched one is re-solved.
 //
-//   - The Enhanced-AMF invalidation rule. Floors (EqualShares) depend on
-//     the GLOBAL weight sum, so any job-set or weight change moves every
-//     job's floor and invalidates all components, even untouched ones.
-//     The solver recomputes floors against the full instance every solve
-//     and, when the weight sum changed, routes every component through the
-//     fingerprint path; components whose floors happen to be bit-identical
-//     (all clamped at demand) still hit the cache — the fingerprint, which
-//     embeds the floors, is the precise invalidation test.
+// Enhanced AMF adds one rule. Its floors es_j(W) (EqualShares) depend on
+// the global weight sum W, so a change to W can move the Enhanced point of
+// a component no mutation touched. The kernel fills an Enhanced component
+// as plain AMF first and publishes that fill when every member's aggregate
+// meets its floor: the plain point is then feasible for the floored
+// problem and the leximax over a larger set, so it is the Enhanced point.
+// Only otherwise does it fill again above the floors, and the record is
+// marked floor-bound. After a W change an untouched component keeps its
+// record exactly when the record is not floor-bound and every member still
+// meets its new floor — the same exact comparison (meetsFloor) the kernel
+// makes, over the same sums, so the carried record is the one a
+// from-scratch solve would publish, bit for bit. Everything else
+// re-solves.
 //
 // The unit that flows out of a solve is the ComponentResult: one immutable
 // record per solved component holding its members' share rows and the
@@ -59,30 +57,27 @@ import (
 // same kernel.
 //
 // Share rows handed out are immutable and shared: the same row backs the
-// result cache, subsequent allocations, and anything the caller
+// carried record, subsequent allocations, and anything the caller
 // published. Callers must treat them as read-only.
 
 // IncrementalStats describes how the most recent IncrementalSolver.Solve
-// executed, plus cumulative cache accounting across the solver's lifetime.
+// executed, plus a lifetime count of weight-sum changes.
 type IncrementalStats struct {
 	// SolveStats is the decomposition record. Components counts the live
 	// components after the solve; SequentialTime sums the wall times of the
 	// components actually re-solved and Speedup is their worker pool's (1
 	// when at most one was re-solved); WallTime covers the whole call
-	// (partition maintenance, fingerprinting, cache splicing included).
+	// (partition maintenance and the floor checks included).
 	SolveStats
-	// Reused counts untouched components spliced from their previous
-	// result without hashing; CacheHits counts touched components whose
-	// fingerprint hit the result cache; Solved counts components actually
-	// re-solved. Reused + CacheHits + Solved == Components.
-	Reused    int
-	CacheHits int
-	Solved    int
-	// TotalCacheHits/TotalCacheMisses accumulate fingerprint-cache lookups
-	// over the solver's lifetime; GlobalInvalidations counts Enhanced-AMF
-	// floor invalidations (weight-sum changes).
-	TotalCacheHits      int64
-	TotalCacheMisses    int64
+	// Reused counts untouched components that kept their previous record —
+	// under Enhanced AMF, across a weight-sum change too when the record
+	// still meets the new floors; Solved counts components actually
+	// re-solved. Reused + Solved == Components.
+	Reused int
+	Solved int
+	// GlobalInvalidations counts the Enhanced-AMF solves that saw the
+	// weight sum change, which sends every untouched component through the
+	// floor check, over the solver's lifetime.
 	GlobalInvalidations int64
 }
 
@@ -106,12 +101,10 @@ type IncrementalSolver struct {
 	nextID   int
 	siteComp []int // site -> owning component id, -1 unowned
 	uf       siteUnion
-	cache    map[uint64][]*ComponentResult
 	caps     []float64 // the site capacities the carried state was solved under
 	prevWSum float64
 	haveWSum bool
 	stats    IncrementalStats
-	keyBuf   []byte
 	zeroRow  []float64 // shared immutable all-zero row (zero-demand jobs)
 }
 
@@ -126,16 +119,14 @@ type incComp struct {
 	rowsGen uint64
 	dirty   bool
 
-	result   *ComponentResult
-	pendHash uint64
-	pendKey  []byte
+	result *ComponentResult
 }
 
 // ComponentResult is one component's solution: an immutable full-width
 // share row per member job and the fairness partial of the members'
 // aggregates, recorded when the component was solved. Records are shared
-// by pointer between the result cache, successive solves and whatever the
-// caller published; Shares and Fairness must be treated as read-only.
+// by pointer between successive solves and whatever the caller published;
+// Shares and Fairness must be treated as read-only.
 type ComponentResult struct {
 	// Shares maps each member job to its share row.
 	Shares map[string][]float64
@@ -143,11 +134,11 @@ type ComponentResult struct {
 	// weight-normalized aggregates.
 	Fairness fairness.Partial
 
-	// The fingerprint the result was solved under, and the solver's
-	// cache-aging stamp.
-	hash     uint64
-	key      []byte
-	lastUsed uint64
+	// floorBound marks an Enhanced-AMF record filled above its floors: the
+	// plain fill missed one. Such a record re-solves on any weight-sum
+	// change; a record without it is reused while its members meet their
+	// floors.
+	floorBound bool
 }
 
 // Delta names what changed in the instance since the previous solve.
@@ -171,9 +162,9 @@ type Update struct {
 	// or site count/capacities changed): Results then holds every live
 	// component and Zero every zero-demand job, whatever the Delta said.
 	Full bool
-	// Results are the records of the components whose rows may differ from
-	// the previous solve — re-solved, or resurrected from the fingerprint
-	// cache — in ascending component-id order.
+	// Results are the records of the components re-solved this call, whose
+	// rows may differ from the previous solve, in ascending component-id
+	// order.
 	Results []*ComponentResult
 	// Zero names the changed jobs that now demand nothing: they belong to
 	// no component and hold the all-zero row.
@@ -183,23 +174,18 @@ type Update struct {
 	Fairness fairness.Partial
 }
 
-// Reset drops all carried state (partition, results, cache); the next
-// Solve runs from scratch. Cumulative counters are kept.
+// Reset drops all carried state (partition and results); the next Solve
+// runs from scratch. Cumulative counters are kept.
 func (x *IncrementalSolver) Reset() {
 	x.caps = nil
 	x.jobs = nil
 	x.comps = nil
 	x.siteComp = nil
-	x.cache = nil
 	x.haveWSum = false
 }
 
 // LastStats reports the record of the most recent Solve.
 func (x *IncrementalSolver) LastStats() IncrementalStats { return x.stats }
-
-// cacheAge is how many solves an unused cache entry survives before
-// eviction.
-const cacheAge = 8
 
 // Solve computes the allocation for in, reusing every component result the
 // mutations since the previous Solve cannot have invalidated. It is a
@@ -215,7 +201,7 @@ const cacheAge = 8
 // dropped and the solve runs from scratch.
 //
 // The returned allocation's share rows are immutable views shared with the
-// solver's cache and with previous/future results: callers must not
+// solver's records and with previous/future results: callers must not
 // mutate them.
 func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocation, error) {
 	n := in.NumJobs()
@@ -328,9 +314,6 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 		for s := range x.siteComp {
 			x.siteComp[s] = -1
 		}
-		if x.cache == nil {
-			x.cache = map[uint64][]*ComponentResult{}
-		}
 		x.zeroRow = make([]float64, m)
 		x.haveWSum = false
 		// Nothing is carried: every job is new, whatever the delta named.
@@ -341,8 +324,8 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 
 	// Enhanced-AMF floors are computed against the FULL instance
 	// (EqualShares depends on the global weight sum) and sliced per
-	// component. A weight-sum change moves every floor: all components
-	// must re-validate through the fingerprint path.
+	// component. A weight-sum change moves every floor: each untouched
+	// component is checked against its new floors.
 	var floors []float64
 	globalInval := false
 	if x.Kernel == KernelEnhanced {
@@ -404,9 +387,9 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 		x.repartition(in, delta.Row, affected, dirtyIdx)
 	}
 
-	// Classify components: carried results splice directly; touched (or
-	// globally invalidated) ones consult the fingerprint cache; misses are
-	// solved as independent sub-instances on the worker pool.
+	// Classify components: untouched ones keep their record — after a
+	// weight-sum change only while it still meets the floors — and the rest
+	// are solved as independent sub-instances on the worker pool.
 	ids := make([]int, 0, len(x.comps))
 	for id := range x.comps {
 		ids = append(ids, id)
@@ -414,40 +397,20 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	sort.Ints(ids)
 
 	st := IncrementalStats{SolveStats: SolveStats{Components: len(x.comps)}}
-	// moved collects, in id order, the components whose record changed
-	// this call: cache hits now, solved ones once their result lands.
-	var toSolve, moved []*incComp
+	var toSolve []*incComp
 	for _, id := range ids {
 		c := x.comps[id]
 		if nj := len(c.jobs); nj > st.LargestComponent {
 			st.LargestComponent = nj
 		}
-		if !c.dirty && !globalInval && c.result != nil {
-			c.result.lastUsed = x.gen
+		if !c.dirty && c.result != nil && (!globalInval || x.meetsFloors(delta.Row, c, floors)) {
 			st.Reused++
 			continue
 		}
 		x.orderMembers(delta.Row, c)
-		key := x.fingerprint(in, c, floors)
-		h := fnv64(key)
-		if r := x.cacheLookup(h, key); r != nil {
-			r.lastUsed = x.gen
-			if r != c.result {
-				moved = append(moved, c)
-			}
-			c.result = r
-			c.dirty = false
-			st.CacheHits++
-			x.stats.TotalCacheHits++
-			continue
-		}
-		x.stats.TotalCacheMisses++
 		c.result = nil
 		c.dirty = true
-		c.pendHash = h
-		c.pendKey = append([]byte(nil), key...)
 		toSolve = append(toSolve, c)
-		moved = append(moved, c)
 	}
 	st.Solved = len(toSolve)
 	sv.stage(StagePartition, time.Since(tPartition), false)
@@ -464,10 +427,8 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 		return nil, err
 	}
 	for k, c := range toSolve {
-		c.result = x.newResult(in, c, runs[k].alloc)
+		c.result = x.newResult(in, c, runs[k])
 		c.dirty = false
-		c.pendKey = nil
-		x.cache[c.result.hash] = append(x.cache[c.result.hash], c.result)
 	}
 	pst.Components, pst.LargestComponent = st.Components, st.LargestComponent
 	st.SolveStats = pst
@@ -478,8 +439,8 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	// partials over the component list. The reduction is recomputed from
 	// the records every call — never adjusted in place — so it cannot
 	// drift, and its order (ascending id) makes it deterministic.
-	up := &Update{Full: fresh, Results: make([]*ComponentResult, len(moved))}
-	for k, c := range moved {
+	up := &Update{Full: fresh, Results: make([]*ComponentResult, len(toSolve))}
+	for k, c := range toSolve {
 		up.Results[k] = c.result
 	}
 	for _, name := range changed {
@@ -495,12 +456,9 @@ func (x *IncrementalSolver) SolveDelta(in *Instance, delta Delta) (*Update, erro
 	}
 	up.Fairness.ObserveZeros(len(x.jobs) - members)
 
-	x.evict()
 	sv.stage(StageMerge, time.Since(tMerge), false)
 
 	st.WallTime = time.Since(start)
-	st.TotalCacheHits = x.stats.TotalCacheHits
-	st.TotalCacheMisses = x.stats.TotalCacheMisses
 	st.GlobalInvalidations = x.stats.GlobalInvalidations
 	x.stats = st
 	return up, nil
@@ -551,9 +509,9 @@ func (x *IncrementalSolver) repartition(in *Instance, row func(string) int, affe
 }
 
 // orderMembers brings c.rows up to date with the current instance and
-// sorts the members into instance order — the order the fingerprint and
-// the sub-instance are built in, so results are reproducible. Components
-// formed this generation got both from repartition.
+// sorts the members into instance order — the order the sub-instance is
+// built in, so results are reproducible. Components formed this
+// generation got both from repartition.
 func (x *IncrementalSolver) orderMembers(row func(string) int, c *incComp) {
 	if c.rowsGen == x.gen {
 		return
@@ -577,12 +535,10 @@ func (m membersByRow) Swap(a, b int) {
 // newResult records component c's solve: its local allocation scattered
 // into immutable full-width rows, and the fairness partial of the members'
 // aggregates.
-func (x *IncrementalSolver) newResult(in *Instance, c *incComp, local *Allocation) *ComponentResult {
+func (x *IncrementalSolver) newResult(in *Instance, c *incComp, run componentRun) *ComponentResult {
 	res := &ComponentResult{
-		Shares:   make(map[string][]float64, len(c.jobs)),
-		hash:     c.pendHash,
-		key:      c.pendKey,
-		lastUsed: x.gen,
+		Shares:     make(map[string][]float64, len(c.jobs)),
+		floorBound: run.floorBound,
 	}
 	for lj, name := range c.jobs {
 		// The aggregate is summed over the compact local row, in ascending
@@ -591,7 +547,7 @@ func (x *IncrementalSolver) newResult(in *Instance, c *incComp, local *Allocatio
 		row := make([]float64, len(x.caps))
 		var agg float64
 		for ls, s := range c.sites {
-			v := local.Share[lj][ls]
+			v := run.alloc.Share[lj][ls]
 			row[s] = v
 			agg += v
 		}
@@ -601,94 +557,20 @@ func (x *IncrementalSolver) newResult(in *Instance, c *incComp, local *Allocatio
 	return res
 }
 
-// fingerprint serializes everything the component's solution depends on:
-// the kernel, member names, weights, demand and work rows restricted to
-// the component's sites, (JCT) each member's stray-work bit, site indices
-// and capacities, (Enhanced) floors,
-// and the approximate-path routing decision — a component solved approximately
-// under one epsilon must not be spliced for a solve under another, or for
-// an exact solve. The buffer is reused across calls; callers copy before
-// retaining.
-func (x *IncrementalSolver) fingerprint(in *Instance, c *incComp, floors []float64) []byte {
-	buf := append(x.keyBuf[:0], byte(x.Kernel))
-	edges := 0
-	buf = binary.AppendUvarint(buf, uint64(len(c.sites)))
-	for _, s := range c.sites {
-		buf = binary.AppendUvarint(buf, uint64(s))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.SiteCapacity[s]))
+// meetsFloors reports whether component c's carried record is still its
+// Enhanced-AMF point under floors: it was published without floors and
+// every member's aggregate meets its floor. O(members · sites).
+func (x *IncrementalSolver) meetsFloors(row func(string) int, c *incComp, floors []float64) bool {
+	if c.result.floorBound {
+		return false
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(c.jobs)))
-	for k, name := range c.jobs {
-		i := c.rows[k]
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.JobWeight(i)))
-		if floors != nil {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(floors[i]))
-		}
-		for _, s := range c.sites {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.Demand[i][s]))
-			if in.Demand[i][s] > 0 {
-				edges++
-			}
-		}
-		if in.Work != nil {
-			// Under KernelJCT stray work, which may sit at a site outside
-			// the component, excludes the job from the stretch search.
-			if x.Kernel == KernelJCT && strayWork(in, i) {
-				buf = append(buf, 2)
-			} else {
-				buf = append(buf, 1)
-			}
-			for _, s := range c.sites {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.Work[i][s]))
-			}
-		} else {
-			buf = append(buf, 0)
+	for _, name := range c.jobs {
+		if !meetsFloor(c.result.Shares[name], c.sites, floors[row(name)]) {
+			return false
 		}
 	}
-	// The routing decision mirrors Solver.approxRoute on the materialized
-	// sub-instance: jobs + positive-demand edges against the threshold.
-	if sv := x.Solver; sv != nil && sv.approxEnabled() && len(c.jobs)+edges > sv.ApproxThreshold {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sv.ApproxEpsilon))
-	} else {
-		buf = append(buf, 0)
-	}
-	x.keyBuf = buf
-	return buf
+	return true
 }
-
-func (x *IncrementalSolver) cacheLookup(h uint64, key []byte) *ComponentResult {
-	for _, r := range x.cache[h] {
-		if bytes.Equal(r.key, key) {
-			return r
-		}
-	}
-	return nil
-}
-
-// evict drops cache entries unused for cacheAge generations.
-func (x *IncrementalSolver) evict() {
-	for h, bucket := range x.cache {
-		keep := bucket[:0]
-		for _, r := range bucket {
-			if x.gen-r.lastUsed <= cacheAge {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) == 0 {
-			delete(x.cache, h)
-		} else {
-			x.cache[h] = keep
-		}
-	}
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
 
 // validateJobData shape-checks and float-scans one job's weight, demand
 // and work rows — the per-changed-job slice of Instance.Validate.
@@ -722,13 +604,4 @@ func validateJobData(in *Instance, j, m int) error {
 // sameBits reports whether a and b hold the same floats bit for bit.
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
-func fnv64(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
 }

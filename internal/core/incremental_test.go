@@ -95,9 +95,9 @@ func checkIncrementalMatches(t *testing.T, tag string, x *IncrementalSolver, in 
 		t.Fatalf("%s: incremental allocation infeasible: %v", tag, err)
 	}
 	st := x.LastStats()
-	if st.Reused+st.CacheHits+st.Solved != st.Components {
-		t.Fatalf("%s: stats don't partition: reused %d + hits %d + solved %d != components %d",
-			tag, st.Reused, st.CacheHits, st.Solved, st.Components)
+	if st.Reused+st.Solved != st.Components {
+		t.Fatalf("%s: stats don't partition: reused %d + solved %d != components %d",
+			tag, st.Reused, st.Solved, st.Components)
 	}
 }
 
@@ -166,9 +166,9 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestIncrementalCarryAndCache pins the reuse accounting: an untouched
-// revision splices every component without hashing, a single-job mutation
-// re-solves exactly one component, and reverting that mutation hits the
-// fingerprint cache instead of solving.
+// revision splices every component, a single-job mutation re-solves
+// exactly one component, and so does reverting that mutation — there is
+// no result cache to bring the old record back.
 func TestIncrementalCarryAndCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const blocks, spb = 6, 3
@@ -190,8 +190,8 @@ func TestIncrementalCarryAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = x.LastStats()
-	if st.Reused != blocks || st.Solved != 0 || st.CacheHits != 0 {
-		t.Fatalf("clean re-solve: reused %d hits %d solved %d, want %d/0/0", st.Reused, st.CacheHits, st.Solved, blocks)
+	if st.Reused != blocks || st.Solved != 0 {
+		t.Fatalf("clean re-solve: reused %d solved %d, want %d/0", st.Reused, st.Solved, blocks)
 	}
 
 	old := h.dem[0][0]
@@ -204,22 +204,24 @@ func TestIncrementalCarryAndCache(t *testing.T) {
 		t.Fatalf("single-job mutation: solved %d reused %d, want 1/%d", st.Solved, st.Reused, blocks-1)
 	}
 
-	h.dem[0][0] = old // revert: the component's fingerprint round-trips
+	h.dem[0][0] = old
 	if _, err := x.Solve(h.instance(), map[string]bool{h.name[0]: true}); err != nil {
 		t.Fatal(err)
 	}
 	st = x.LastStats()
-	if st.CacheHits != 1 || st.Solved != 0 || st.Reused != blocks-1 {
-		t.Fatalf("reverted mutation: hits %d solved %d reused %d, want 1/0/%d", st.CacheHits, st.Solved, st.Reused, blocks-1)
+	if st.Solved != 1 || st.Reused != blocks-1 {
+		t.Fatalf("reverted mutation: solved %d reused %d, want 1/%d", st.Solved, st.Reused, blocks-1)
 	}
 }
 
-// TestEnhancedWeightChangeInvalidatesAllComponents pins the global
-// invalidation rule: Enhanced-AMF floors depend on the global weight sum,
-// so a weight change in ONE component must push every component through
-// fingerprint validation — none may be carried as untouched — and the
-// resulting shares must match a from-scratch Enhanced solve.
-func TestEnhancedWeightChangeInvalidatesAllComponents(t *testing.T) {
+// TestIncrementalEnhancedSlackReuse pins the Enhanced-AMF reuse rule.
+// Floors depend on the global weight sum W, so a weight change in ONE
+// component moves every component's floors. A component whose record was
+// published without floors and still meets them keeps it, in either
+// direction of W, while the rows stay bit-identical to a from-scratch
+// solve; a component that crosses its floor is re-solved, above the floors
+// while they bind and plain once they no longer do.
+func TestIncrementalEnhancedSlackReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const blocks, spb = 5, 3
 	h := newIncHarness(rng, blocks, spb)
@@ -229,27 +231,82 @@ func TestEnhancedWeightChangeInvalidatesAllComponents(t *testing.T) {
 		}
 	}
 	x := &IncrementalSolver{Kernel: KernelEnhanced}
-	if _, err := x.Solve(h.instance(), nil); err != nil {
-		t.Fatal(err)
+	checkEnhancedRowIdentical(t, "init", x, h.instance(), nil)
+	for id, c := range x.comps {
+		if c.result.floorBound {
+			t.Fatalf("component %d is floor-bound; the reuse half of this test needs every component slack", id)
+		}
 	}
 
-	h.wt[0] *= 2
-	checkIncrementalMatches(t, "weight change", x, h.instance(), map[string]bool{h.name[0]: true}, true)
-	st := x.LastStats()
-	if st.GlobalInvalidations != 1 {
-		t.Fatalf("GlobalInvalidations = %d, want 1", st.GlobalInvalidations)
+	// Job 0's weight doubles (W up), then returns (W down): each time only
+	// its own component re-solves.
+	w0 := h.wt[0]
+	for step, w := range []float64{2 * w0, w0} {
+		h.wt[0] = w
+		tag := fmt.Sprintf("weight step %d", step)
+		checkEnhancedRowIdentical(t, tag, x, h.instance(), map[string]bool{h.name[0]: true})
+		st := x.LastStats()
+		if st.GlobalInvalidations != int64(step+1) {
+			t.Fatalf("%s: GlobalInvalidations = %d, want %d", tag, st.GlobalInvalidations, step+1)
+		}
+		if st.Reused != blocks-1 || st.Solved != 1 {
+			t.Fatalf("%s: reused %d solved %d, want %d/1: slack components must carry across a weight-sum change",
+				tag, st.Reused, st.Solved, blocks-1)
+		}
 	}
-	if st.Reused != 0 {
-		t.Fatalf("weight change under Enhanced AMF carried %d components untouched; floors moved globally, want 0", st.Reused)
-	}
-	// The floors embed in every fingerprint, so untouched components whose
-	// floors moved must re-solve, not cache-hit.
-	if st.Solved != blocks {
-		t.Fatalf("Solved = %d, want all %d components re-solved", st.Solved, blocks)
+	// An external weight up, then down (a cluster broadcast): no job
+	// changed, so every component is reused.
+	for step, ext := range []float64{3, 0.5} {
+		in := h.instance()
+		in.ExternalWeight = ext
+		tag := fmt.Sprintf("external step %d", step)
+		checkEnhancedRowIdentical(t, tag, x, in, nil)
+		if st := x.LastStats(); st.Reused != blocks || st.Solved != 0 {
+			t.Fatalf("%s: reused %d solved %d, want %d/0", tag, st.Reused, st.Solved, blocks)
+		}
 	}
 
-	// Plain AMF has no floors: the same mutation shape must NOT invalidate
-	// other components.
+	// sharingIncentiveInstance's job X misses its floor under plain AMF
+	// while W = 4 (its three jobs and the lone one); with an external
+	// weight of 20 its floor drops below its plain aggregate. A lone job on
+	// a site of its own is slack at any W.
+	in := sharingIncentiveInstance()
+	in.SiteCapacity = append(in.SiteCapacity, 4)
+	for j := range in.Demand {
+		in.Demand[j] = append(in.Demand[j], 0)
+	}
+	in.Demand = append(in.Demand, []float64{0, 0, 1})
+	in.JobName = []string{"X", "Y", "Z", "lone"}
+	xs := &IncrementalSolver{Kernel: KernelEnhanced}
+	for step, tc := range []struct {
+		ext        float64
+		floorBound bool
+		solved     int
+	}{
+		{0, true, 2},   // first solve: X's component binds, lone is slack
+		{20, false, 1}, // floor-bound record re-solves and comes back plain
+		{0, true, 1},   // X's plain record misses its new floor
+		{20, false, 1},
+		{25, false, 0}, // W up again: X's plain record still meets its floor
+		{19, false, 0}, // W down, floors still below the plain aggregates
+	} {
+		in.ExternalWeight = tc.ext
+		tag := fmt.Sprintf("crossing step %d (external %g)", step, tc.ext)
+		checkEnhancedRowIdentical(t, tag, xs, in, nil)
+		st := xs.LastStats()
+		if st.Solved != tc.solved || st.Reused != 2-tc.solved {
+			t.Fatalf("%s: solved %d reused %d, want %d/%d", tag, st.Solved, st.Reused, tc.solved, 2-tc.solved)
+		}
+		if got := xs.jobs["X"].result.floorBound; got != tc.floorBound {
+			t.Fatalf("%s: X's record floor-bound %v, want %v", tag, got, tc.floorBound)
+		}
+		if xs.jobs["lone"].result.floorBound {
+			t.Fatalf("%s: the lone job's record is floor-bound", tag)
+		}
+	}
+
+	// Plain AMF has no floors: a weight change must NOT invalidate other
+	// components.
 	h2 := newIncHarness(rand.New(rand.NewSource(17)), blocks, spb)
 	rng2 := rand.New(rand.NewSource(18))
 	for b := 0; b < blocks; b++ {
@@ -270,10 +327,30 @@ func TestEnhancedWeightChangeInvalidatesAllComponents(t *testing.T) {
 	}
 }
 
+// checkEnhancedRowIdentical runs checkIncrementalMatches under Enhanced AMF
+// and also requires the incremental rows to equal a from-scratch solve's
+// bit for bit.
+func checkEnhancedRowIdentical(t *testing.T, tag string, x *IncrementalSolver, in *Instance, dirty map[string]bool) {
+	t.Helper()
+	checkIncrementalMatches(t, tag, x, in, dirty, true)
+	want, err := NewSolver().EnhancedAMF(in)
+	if err != nil {
+		t.Fatalf("%s: from scratch: %v", tag, err)
+	}
+	for j, name := range in.JobName {
+		got := x.Row(name)
+		for s, v := range want.Share[j] {
+			if math.Float64bits(got[s]) != math.Float64bits(v) {
+				t.Fatalf("%s: job %s site %d: incremental %v, from scratch %v", tag, name, s, got[s], v)
+			}
+		}
+	}
+}
+
 // TestIncrementalSplitMerge walks a component through a merge (a job
 // bridges two blocks), verifies the merged component re-solves while
-// bystanders are reused, then removes the bridge and verifies the split
-// components come back from the fingerprint cache.
+// bystanders are reused, then removes the bridge and verifies that just
+// the two split halves re-solve.
 func TestIncrementalSplitMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const blocks, spb = 4, 3
@@ -297,16 +374,16 @@ func TestIncrementalSplitMerge(t *testing.T) {
 		t.Fatalf("after merge: reused %d solved %d, want %d/1", st.Reused, st.Solved, blocks-2)
 	}
 
-	// Remove the bridge: blocks 0 and 1 split apart again, and both halves
-	// were solved before the merge — the cache must resurrect them.
+	// Remove the bridge: blocks 0 and 1 split apart again, each half a new
+	// component to solve.
 	h.dem[0][spb] = saved
 	checkIncrementalMatches(t, "split", x, h.instance(), map[string]bool{h.name[0]: true}, false)
 	st = x.LastStats()
 	if st.Components != blocks {
 		t.Fatalf("after split: %d components, want %d", st.Components, blocks)
 	}
-	if st.CacheHits != 2 || st.Solved != 0 || st.Reused != blocks-2 {
-		t.Fatalf("after split: hits %d solved %d reused %d, want 2/0/%d", st.CacheHits, st.Solved, st.Reused, blocks-2)
+	if st.Solved != 2 || st.Reused != blocks-2 {
+		t.Fatalf("after split: solved %d reused %d, want 2/%d", st.Solved, st.Reused, blocks-2)
 	}
 }
 

@@ -317,29 +317,71 @@ func materialize(in *Instance, g compGroup, k Kernel, floors []float64) (*Instan
 // component is large enough; solveComponents emits the solve.approx stage
 // event from the report (not here: parallel workers must not fire the
 // OnStage hook concurrently).
-func (sv *Solver) fillComponent(in *Instance, g compGroup, k Kernel, floors []float64) (*Allocation, approxReport, error) {
+//
+// Under KernelEnhanced the exact route fills without floors and publishes
+// that fill when every member meets its floor (meetsFloor): it is then the
+// Enhanced point (incremental.go). Only otherwise does it fill again above
+// the floors, and the run is floor-bound. The approximate route fills
+// above the floors directly — its error bound certifies a fill against
+// the exact point of the same problem, and a plain approximate fill can
+// clear a floor the exact plain point misses — so its runs are always
+// floor-bound.
+func (sv *Solver) fillComponent(in *Instance, g compGroup, k Kernel, floors []float64) (componentRun, error) {
 	sub, subFloors := materialize(in, g, k, floors)
 	if k == KernelPSMMF {
-		return PerSiteMMF(sub), approxReport{}, nil
+		return componentRun{alloc: PerSiteMMF(sub)}, nil
 	}
 	var (
-		alloc *Allocation
-		rep   approxReport
-		err   error
+		r   componentRun
+		err error
 	)
-	if sv.approxRoute(sub) {
+	switch {
+	case sv.approxRoute(sub):
 		t0 := time.Now()
 		var bound float64
-		alloc, bound, err = sv.approxFill(sub, subFloors)
-		rep = approxReport{used: true, errBound: bound, d: time.Since(t0)}
-	} else {
-		alloc, err = sv.fillMono(sub, subFloors, nil)
+		r.alloc, bound, err = sv.approxFill(sub, subFloors)
+		r.rep = approxReport{used: true, errBound: bound, d: time.Since(t0)}
+		r.floorBound = subFloors != nil
+	case subFloors != nil:
+		r.alloc, err = sv.fillMono(sub, nil, nil)
+		for lj := 0; err == nil && lj < len(subFloors); lj++ {
+			if !meetsFloor(r.alloc.Share[lj], nil, subFloors[lj]) {
+				r.floorBound = true
+				break
+			}
+		}
+		if r.floorBound {
+			r.alloc, err = sv.fillMono(sub, subFloors, nil)
+		}
+	default:
+		r.alloc, err = sv.fillMono(sub, nil, nil)
 	}
 	if err != nil || k != KernelJCT {
-		return alloc, rep, err
+		return r, err
 	}
-	alloc, err = sv.OptimizeJCT(alloc)
-	return alloc, rep, err
+	r.alloc, err = sv.OptimizeJCT(r.alloc)
+	return r, err
+}
+
+// meetsFloor reports whether a member's aggregate reaches its floor. The
+// aggregate sums row at cols, in order, or the whole row when cols is nil:
+// a component's compact local row and its full-width row read at the
+// component's ascending sites give the same sum bit for bit, so the kernel
+// and the incremental reuse check decide alike. The comparison is exact:
+// a tolerance would let a carried record differ from the one a
+// from-scratch solve publishes.
+func meetsFloor(row []float64, cols []int, floor float64) bool {
+	var agg float64
+	if cols == nil {
+		for _, v := range row {
+			agg += v
+		}
+	} else {
+		for _, s := range cols {
+			agg += row[s]
+		}
+	}
+	return agg >= floor
 }
 
 // strayWork reports whether job i has positive work at a site it does not
@@ -360,6 +402,9 @@ type componentRun struct {
 	alloc *Allocation
 	rep   approxReport
 	d     time.Duration
+	// floorBound marks an Enhanced-AMF fill above the floors
+	// (fillComponent).
+	floorBound bool
 }
 
 // solveComponents solves each group under kernel k as an independent
@@ -385,8 +430,9 @@ func (sv *Solver) solveComponents(in *Instance, groups []compGroup, k Kernel, fl
 				return
 			}
 			t0 := time.Now()
-			a, rep, ferr := sv.fillComponent(in, groups[c], k, floors)
-			runs[c] = componentRun{alloc: a, rep: rep, d: time.Since(t0)}
+			r, ferr := sv.fillComponent(in, groups[c], k, floors)
+			r.d = time.Since(t0)
+			runs[c] = r
 			if ferr != nil {
 				errMu.Lock()
 				if err == nil {

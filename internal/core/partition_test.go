@@ -314,8 +314,10 @@ func TestComponentsLabeling(t *testing.T) {
 // pipeline, so on random sparse instances — named jobs, zero-demand jobs,
 // sites no job demands, work at sites a job does not demand — their rows
 // must agree bit for bit, not just within tolerance, under every kernel:
-// on the first solve, and again after some jobs' work rows change, some
-// of them only at sites the job does not demand.
+// on the first solve; after some jobs' work rows change, some of them
+// only at sites the job does not demand; after a job's weight doubles and
+// returns; and after an external weight rises and falls, which moves the
+// Enhanced-AMF floors of every component while no job changes.
 func TestFromScratchRowIdenticalToIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kernels := []Kernel{KernelAMF, KernelEnhanced, KernelPSMMF, KernelJCT}
@@ -352,19 +354,33 @@ func TestFromScratchRowIdenticalToIncremental(t *testing.T) {
 				dirty[in.JobName[j]] = true
 			}
 		}
+		// A job's weight doubles, then returns; the external weight rises to
+		// the job set's weight sum, then falls to a tenth of it.
+		j := rng.Intn(in.NumJobs())
+		wsum := 0.0
+		weights := make([]float64, in.NumJobs())
+		for i := range weights {
+			weights[i] = next.JobWeight(i)
+			wsum += weights[i]
+		}
+		heavy, back := next, next
+		heavy.Weight = slices.Clone(weights)
+		heavy.Weight[j] *= 2
+		back.Weight = weights
+		up, down := back, back
+		up.ExternalWeight = wsum
+		down.ExternalWeight = wsum / 10
+		steps := []*Instance{in, &next, &heavy, &back, &up, &down}
+		dirties := []map[string]bool{nil, dirty, {in.JobName[j]: true}, {in.JobName[j]: true}, nil, nil}
 		for _, k := range kernels {
 			sv := &Solver{SkipJCTRefine: trial%4 < 2}
 			x := &IncrementalSolver{Solver: sv, Kernel: k}
-			for step, cur := range []*Instance{in, &next} {
+			for step, cur := range steps {
 				want, err := sv.Solve(cur, k)
 				if err != nil {
 					t.Fatalf("trial %d (kernel %d, step %d): from scratch: %v", trial, k, step, err)
 				}
-				var d map[string]bool
-				if step == 1 {
-					d = dirty
-				}
-				got, err := x.Solve(cur, d)
+				got, err := x.Solve(cur, dirties[step])
 				if err != nil {
 					t.Fatalf("trial %d (kernel %d, step %d): incremental: %v", trial, k, step, err)
 				}

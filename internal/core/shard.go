@@ -1,5 +1,11 @@
 package core
 
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
+)
+
 // Shard keys for the cluster router.
 //
 // The component decomposition (partition.go) already proves that connected
@@ -30,18 +36,9 @@ func ShardKey(sites []int) (key uint64, ok bool) {
 	if len(sites) == 0 {
 		return 0, false
 	}
-	min := sites[0]
-	for _, s := range sites[1:] {
-		if s < min {
-			min = s
-		}
-	}
-	h := uint64(fnvOffset)
-	for k := 0; k < 64; k += 8 {
-		h ^= uint64(byte(uint64(min) >> k))
-		h *= fnvPrime
-	}
-	return h, true
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(slices.Min(sites))))
+	return h.Sum64(), true
 }
 
 // ShardOf maps a shard key onto one of n shards.

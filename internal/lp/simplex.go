@@ -1,7 +1,7 @@
 // Package lp implements a small dense two-phase simplex solver for linear
 // programs in the form
 //
-//	maximize c·x   subject to   A x ≤ b,  E x = f,  x ≥ 0.
+//	maximize c·x   subject to   A x ≤ b,  x ≥ 0.
 //
 // It is the feasibility oracle behind the locality-relaxed allocator
 // (internal/spill), where useful-rate targets mix local and remote
@@ -44,16 +44,13 @@ func (s Status) String() string {
 
 const eps = 1e-9
 
-// Problem is a linear program in inequality/equality form.
+// Problem is a linear program in inequality form.
 type Problem struct {
 	// C is the objective (maximized). May be nil for pure feasibility.
 	C []float64
-	// A, B are the inequality constraints A x <= B.
+	// A, B are the constraints A x <= B.
 	A [][]float64
 	B []float64
-	// E, F are the equality constraints E x = F.
-	E [][]float64
-	F []float64
 	// NumVars is the number of variables (len of each row).
 	NumVars int
 }
@@ -64,101 +61,52 @@ func Solve(p Problem) ([]float64, float64, Status) {
 	n := p.NumVars
 	if n <= 0 {
 		// Degenerate: only constant constraints.
-		for i, bi := range p.B {
-			_ = i
+		for _, bi := range p.B {
 			if bi < -eps {
-				return nil, 0, Infeasible
-			}
-		}
-		for _, fi := range p.F {
-			if math.Abs(fi) > eps {
 				return nil, 0, Infeasible
 			}
 		}
 		return []float64{}, 0, Optimal
 	}
-	mIneq := len(p.A)
-	mEq := len(p.E)
-	m := mIneq + mEq
+	m := len(p.A)
 
-	// Column layout: x (n) | slacks (mIneq) | artificials (<= m).
-	// Every row is normalized to b >= 0 before adding slack/artificial.
-	type rowSpec struct {
-		coeff []float64
-		b     float64
-		slack int // column of the slack (+1 coefficient), or -1
-		art   int // column of the artificial, or -1
-	}
-	rows := make([]rowSpec, 0, m)
-	col := n
-	slackCols := make([]int, mIneq)
-	for i := 0; i < mIneq; i++ {
-		slackCols[i] = col
-		col++
-	}
-	artStart := col
+	// Column layout: x (n) | slacks (m) | artificials (one per row with
+	// b < 0). Such a row is negated to make its right-hand side
+	// non-negative, which flips its slack to -1, so an artificial is its
+	// initial basic variable; every other row starts with its slack basic.
+	artStart := n + m
 	numArt := 0
-
-	addRow := func(coeff []float64, b float64, slackCol int) {
-		sign := 1.0
-		if b < 0 {
-			sign = -1
-			b = -b
-		}
-		r := rowSpec{coeff: make([]float64, n), b: b, slack: -1, art: -1}
-		for j := 0; j < n; j++ {
-			r.coeff[j] = sign * coeff[j]
-		}
-		if slackCol >= 0 {
-			r.slack = slackCol
-		}
-		// A slack with +1 coefficient can serve as the initial basic
-		// variable; a flipped slack (-1) or an equality needs an
-		// artificial.
-		if slackCol < 0 || sign < 0 {
-			r.art = artStart + numArt
+	for i := range p.A {
+		if p.B[i] < 0 {
 			numArt++
 		}
-		rows = append(rows, r)
-		_ = sign
 	}
-	for i := 0; i < mIneq; i++ {
-		if len(p.A[i]) != n {
-			panic(fmt.Sprintf("lp: row %d has %d coefficients, want %d", i, len(p.A[i]), n))
-		}
-		addRow(p.A[i], p.B[i], slackCols[i])
-	}
-	for i := 0; i < mEq; i++ {
-		if len(p.E[i]) != n {
-			panic(fmt.Sprintf("lp: eq row %d has %d coefficients, want %d", i, len(p.E[i]), n))
-		}
-		addRow(p.E[i], p.F[i], -1)
-	}
-
 	totalCols := artStart + numArt
 	// Tableau: m rows x (totalCols + 1); last column is b.
 	tab := make([][]float64, m)
 	basis := make([]int, m)
-	for i, r := range rows {
+	art := artStart
+	for i, row := range p.A {
+		if len(row) != n {
+			panic(fmt.Sprintf("lp: row %d has %d coefficients, want %d", i, len(row), n))
+		}
+		sign := 1.0
+		if p.B[i] < 0 {
+			sign = -1
+		}
 		tab[i] = make([]float64, totalCols+1)
-		copy(tab[i], r.coeff)
-		if r.slack >= 0 {
-			// slack sign: +1 normally; if the row was flipped the slack
-			// coefficient flips too.
-			s := 1.0
-			// Detect flip: recompute from original b sign.
-			if i < mIneq && p.B[i] < 0 {
-				s = -1
-			}
-			tab[i][r.slack] = s
+		for j, a := range row {
+			tab[i][j] = sign * a
 		}
-		if r.art >= 0 {
-			tab[i][r.art] = 1
-			basis[i] = r.art
+		tab[i][n+i] = sign
+		tab[i][totalCols] = sign * p.B[i]
+		if sign < 0 {
+			tab[i][art] = 1
+			basis[i] = art
+			art++
 		} else {
-			basis[i] = r.slack
+			basis[i] = n + i
 		}
-		tab[i][totalCols] = r.b
 	}
 
 	// Phase 1: minimize the sum of artificials (maximize its negation).
@@ -304,9 +252,9 @@ func Maximize(c []float64, a [][]float64, b []float64) ([]float64, float64, Stat
 	return Solve(Problem{C: c, A: a, B: b, NumVars: len(c)})
 }
 
-// Feasible reports whether {A x <= b, E x = f, x >= 0} has a solution and
-// returns one.
-func Feasible(numVars int, a [][]float64, b []float64, e [][]float64, f []float64) ([]float64, bool) {
-	x, _, st := Solve(Problem{A: a, B: b, E: e, F: f, NumVars: numVars})
+// Feasible reports whether {A x <= b, x >= 0} has a solution and returns
+// one.
+func Feasible(numVars int, a [][]float64, b []float64) ([]float64, bool) {
+	x, _, st := Solve(Problem{A: a, B: b, NumVars: numVars})
 	return x, st == Optimal
 }

@@ -54,10 +54,9 @@ func TestInfeasible(t *testing.T) {
 	if st != Infeasible {
 		t.Fatalf("status %v, want infeasible", st)
 	}
-	// x + y = 5 and x + y <= 3.
+	// x + y >= 5 and x + y <= 3.
 	_, ok := Feasible(2,
-		[][]float64{{1, 1}}, []float64{3},
-		[][]float64{{1, 1}}, []float64{5})
+		[][]float64{{1, 1}, {-1, -1}}, []float64{3, -5})
 	if ok {
 		t.Fatal("infeasible system accepted")
 	}
@@ -76,13 +75,12 @@ func TestNegativeRHS(t *testing.T) {
 }
 
 func TestEqualityConstraints(t *testing.T) {
-	// max x + y s.t. x + y = 3, x <= 1 -> x=1, y=2 (any split; val=3).
+	// max x + y s.t. x + y = 3, x <= 1 -> x=1, y=2 (any split; val=3). The
+	// equality is the pair x + y <= 3, -x - y <= -3.
 	x, val, st := Solve(Problem{
 		C:       []float64{1, 1},
-		A:       [][]float64{{1, 0}},
-		B:       []float64{1},
-		E:       [][]float64{{1, 1}},
-		F:       []float64{3},
+		A:       [][]float64{{1, 0}, {1, 1}, {-1, -1}},
+		B:       []float64{1, 3, -3},
 		NumVars: 2,
 	})
 	if st != Optimal || !feq(val, 3) {
@@ -94,10 +92,10 @@ func TestEqualityConstraints(t *testing.T) {
 }
 
 func TestRedundantEqualities(t *testing.T) {
-	// Same equality twice must not break phase 1.
+	// The equality x + y = 2, as an inequality pair, stated twice: the
+	// redundant rows must not break phase 1.
 	x, ok := Feasible(2,
-		nil, nil,
-		[][]float64{{1, 1}, {1, 1}}, []float64{2, 2})
+		[][]float64{{1, 1}, {-1, -1}, {1, 1}, {-1, -1}}, []float64{2, -2, 2, -2})
 	if !ok {
 		t.Fatal("redundant system rejected")
 	}
@@ -107,13 +105,13 @@ func TestRedundantEqualities(t *testing.T) {
 }
 
 func TestFeasiblePoint(t *testing.T) {
+	// x0 >= 4 within x0 + x1 + x2 <= 10.
 	x, ok := Feasible(3,
-		[][]float64{{1, 1, 1}}, []float64{10},
-		[][]float64{{1, 0, 0}}, []float64{4})
+		[][]float64{{1, 1, 1}, {-1, 0, 0}}, []float64{10, -4})
 	if !ok {
 		t.Fatal("feasible system rejected")
 	}
-	if !feq(x[0], 4) || x[1] < -1e-9 || x[2] < -1e-9 || x[0]+x[1]+x[2] > 10+1e-9 {
+	if x[0] < 4-1e-9 || x[1] < -1e-9 || x[2] < -1e-9 || x[0]+x[1]+x[2] > 10+1e-9 {
 		t.Fatalf("x=%v", x)
 	}
 }

@@ -247,6 +247,7 @@ func TestIncrementalSchedulerLongStream(t *testing.T) {
 		h.addJob()
 	}
 	h.compare("init")
+	reused := 0
 	for mut := 0; mut < mutations; mut++ {
 		switch h.rng.Intn(12) {
 		case 0:
@@ -263,9 +264,10 @@ func TestIncrementalSchedulerLongStream(t *testing.T) {
 			h.reportProgress()
 		}
 		h.compare(fmt.Sprintf("mut %d", mut))
+		reused += h.inc.Stats().LastReused
 	}
-	if st := h.inc.Stats(); st.CacheHits+int64(st.LastReused) == 0 {
-		t.Fatalf("long stream never reused anything: %+v", st)
+	if reused == 0 {
+		t.Fatalf("long stream never reused anything: %+v", h.inc.Stats())
 	}
 }
 
@@ -484,9 +486,6 @@ func TestIncrementalTelemetry(t *testing.T) {
 	st = sc.Stats()
 	if st.LastResolved != 1 || st.LastReused != 3 {
 		t.Fatalf("single-job mutation: resolved %d reused %d, want 1/3 (%+v)", st.LastResolved, st.LastReused, st)
-	}
-	if st.CacheMisses == 0 {
-		t.Fatalf("cache accounting missing: %+v", st)
 	}
 }
 

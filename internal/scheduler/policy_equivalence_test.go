@@ -11,12 +11,11 @@ import (
 // TestPolicyEquivalenceStreams is the acceptance property test of the
 // pluggable policy layer: for every selectable policy, 200 random churn
 // streams are driven through (a) a controller on the default serving path
-// — incremental solving and/or the policy's own result cache engaged —
-// and (b) a from-scratch controller with a separate policy instance, and
-// the allocations must agree at 1e-9·Scale after every mutation. Each
-// step is additionally checked against a brand-new, cache-cold policy
-// instance solving the resolved view directly, so no cache on either
-// controller can mask a staleness bug. Run under -race in CI.
+// — incremental solving engaged — and (b) a from-scratch controller with
+// a separate policy instance, and the allocations must agree at
+// 1e-9·Scale after every mutation. Each step is additionally checked
+// against a brand-new policy instance solving the resolved view directly,
+// so no state carried on either controller can mask a staleness bug. Run under -race in CI.
 func TestPolicyEquivalenceStreams(t *testing.T) {
 	const (
 		streams   = 200

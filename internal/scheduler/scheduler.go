@@ -125,19 +125,20 @@ type Stats struct {
 	// most one component was re-solved).
 	LastSpeedup float64
 	// LastReused is the number of components the most recent solve did NOT
-	// re-solve: spliced from the previous solve's results or resurrected
-	// from the fingerprint cache. Zero for from-scratch solves.
+	// re-solve: spliced from the previous solve's results, under Enhanced
+	// AMF across a weight-sum change too while their floors do not bind.
+	// Zero for from-scratch solves.
 	LastReused int
 	// LastResolved is the number of components the most recent solve
 	// actually re-solved.
 	LastResolved int
-	// CacheHits/CacheMisses accumulate component fingerprint-cache lookups
-	// across the controller's lifetime.
+	// CacheHits and CacheMisses are always 0; kept for the frozen bench.
+	// The solver keeps no result cache.
 	CacheHits   int64
 	CacheMisses int64
-	// GlobalInvalidations counts Enhanced-AMF floor invalidations: solves
-	// where a weight-sum change forced every component through
-	// revalidation.
+	// GlobalInvalidations counts Enhanced-AMF solves that saw the weight
+	// sum change, sending every untouched component through the floor
+	// check.
 	GlobalInvalidations int64
 	// LastApproxComponents is how many components of the most recent solve
 	// routed through the approximate water-filling fast path;
@@ -653,8 +654,8 @@ func (sc *Scheduler) setApproxLocked(eps float64, threshold int) {
 	cur.ApproxThreshold = threshold
 	sc.cfg.ApproxEpsilon = eps
 	sc.cfg.ApproxThreshold = threshold
-	// Carried component results splice without re-fingerprinting, so a
-	// routing-knob change must drop them wholesale.
+	// Carried component results splice without re-checking the route they
+	// were solved on, so a routing-knob change must drop them wholesale.
 	sc.resetSolverLocked()
 	sc.needSolve = true
 }
@@ -908,10 +909,8 @@ func (sc *Scheduler) solveLocked() error {
 	sc.stats.LastSpeedup = ist.Speedup
 	sc.stats.LastApproxComponents = ist.ApproxComponents
 	sc.stats.LastApproxErrorBound = ist.ApproxErrorBound
-	sc.stats.LastReused = ist.Reused + ist.CacheHits
+	sc.stats.LastReused = ist.Reused
 	sc.stats.LastResolved = ist.Solved
-	sc.stats.CacheHits = ist.TotalCacheHits
-	sc.stats.CacheMisses = ist.TotalCacheMisses
 	sc.stats.GlobalInvalidations = ist.GlobalInvalidations
 	if sc.cfg.OnSolve != nil {
 		sc.cfg.OnSolve(d)

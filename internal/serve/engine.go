@@ -140,8 +140,8 @@ type AllocSnapshot struct {
 	// SolveDuration is how long the commit's re-solve took.
 	SolveDuration time.Duration
 	// ComponentsReused and ComponentsResolved record how incrementally the
-	// commit's solve ran: reused components were spliced from carried or
-	// fingerprint-cached results, resolved ones were actually re-solved.
+	// commit's solve ran: reused components kept their carried results,
+	// resolved ones were actually re-solved.
 	// Both are zero when the solve was skipped (nothing dirty) and
 	// Reused is zero on from-scratch paths.
 	ComponentsReused   int
@@ -227,9 +227,6 @@ type Engine struct {
 	// committer commits it alone on its next iteration. Committer-only.
 	pending *op
 
-	// hitWin is the windowed cache-hit-ratio tracker; committer-only.
-	hitWin cacheWindow
-
 	compactCh chan struct{} // periodic compaction ticks
 	crash     chan struct{} // test support: simulated process death
 	crashOnce sync.Once
@@ -258,39 +255,37 @@ type Engine struct {
 
 	// Cached metric handles; when Config.Metrics is unset they point into
 	// a private throwaway registry so the hot path stays branch-free.
-	reg          *obs.Registry
-	mMutations   *obs.Counter
-	mCommits     *obs.Counter
-	mExclusive   *obs.Counter
-	mCancels     *obs.Counter
-	mSolveErrs   *obs.Counter
-	mReads       *obs.Counter
-	mWALErrs     *obs.Counter
-	mCompacts    *obs.Counter
-	hSolve       *obs.Histogram
-	hCommit      *obs.Histogram
-	hWALAppend   *obs.Histogram
-	hWALFsync    *obs.Histogram
-	hWALCompact  *obs.Histogram
-	gBatch       *obs.Gauge
-	gVersion     *obs.Gauge
-	gJobs        *obs.Gauge
-	gComps       *obs.Gauge
-	gLargest     *obs.Gauge
-	gSpeedup     *obs.Gauge
-	gReused      *obs.Gauge
-	gResolved    *obs.Gauge
-	gHitRatio    *obs.Gauge
-	gHitRatioWin *obs.Gauge
-	gWALRecords  *obs.Gauge
-	gWALBytes    *obs.Gauge
-	gWALSegs     *obs.Gauge
-	gJain        *obs.Gauge
-	gMinShare    *obs.Gauge
-	gMaxShare    *obs.Gauge
-	gApproxComp  *obs.Gauge
-	gApproxErr   *obs.Gauge
-	gWALFailed   *obs.Gauge
+	reg         *obs.Registry
+	mMutations  *obs.Counter
+	mCommits    *obs.Counter
+	mExclusive  *obs.Counter
+	mCancels    *obs.Counter
+	mSolveErrs  *obs.Counter
+	mReads      *obs.Counter
+	mWALErrs    *obs.Counter
+	mCompacts   *obs.Counter
+	hSolve      *obs.Histogram
+	hCommit     *obs.Histogram
+	hWALAppend  *obs.Histogram
+	hWALFsync   *obs.Histogram
+	hWALCompact *obs.Histogram
+	gBatch      *obs.Gauge
+	gVersion    *obs.Gauge
+	gJobs       *obs.Gauge
+	gComps      *obs.Gauge
+	gLargest    *obs.Gauge
+	gSpeedup    *obs.Gauge
+	gReused     *obs.Gauge
+	gResolved   *obs.Gauge
+	gWALRecords *obs.Gauge
+	gWALBytes   *obs.Gauge
+	gWALSegs    *obs.Gauge
+	gJain       *obs.Gauge
+	gMinShare   *obs.Gauge
+	gMaxShare   *obs.Gauge
+	gApproxComp *obs.Gauge
+	gApproxErr  *obs.Gauge
+	gWALFailed  *obs.Gauge
 	// stageHists caches the engine.stage.<name> histograms for the known
 	// stage names; unknown names fall back to a (thread-safe) registry
 	// lookup.
@@ -348,8 +343,6 @@ func New(sc *scheduler.Scheduler, cfg Config) (*Engine, error) {
 	e.gSpeedup = reg.Gauge("engine.solve_speedup")
 	e.gReused = reg.Gauge("engine.components_reused")
 	e.gResolved = reg.Gauge("engine.components_resolved")
-	e.gHitRatio = reg.Gauge("engine.cache_hit_ratio")
-	e.gHitRatioWin = reg.Gauge("engine.cache_hit_ratio_window")
 	e.gWALRecords = reg.Gauge("wal.records_since_compact")
 	e.gWALBytes = reg.Gauge("wal.bytes_since_compact")
 	e.gWALSegs = reg.Gauge("wal.segments")
@@ -664,13 +657,6 @@ func (e *Engine) commit(batch []*op) {
 		e.gSpeedup.Set(st.LastSpeedup)
 		e.gReused.Set(float64(st.LastReused))
 		e.gResolved.Set(float64(st.LastResolved))
-		// Lifetime ratio (kept for dashboard continuity) plus the windowed
-		// companion: the lifetime counters make the ratio converge so
-		// slowly that behavior changes barely move it.
-		if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
-			e.gHitRatio.Set(float64(st.CacheHits) / float64(lookups))
-		}
-		e.observeCacheWindow(st.CacheHits, st.CacheMisses)
 		e.gApproxComp.Set(float64(st.LastApproxComponents))
 		e.gApproxErr.Set(st.LastApproxErrorBound)
 		e.gJain.Set(snap.Fairness.Jain())
@@ -1156,45 +1142,3 @@ func (e *Engine) Stats() scheduler.Stats { return e.sc.Stats() }
 
 // Snapshot returns the controller's persistable job-set state.
 func (e *Engine) Snapshot() scheduler.Snapshot { return e.sc.Snapshot() }
-
-// cacheWindow tracks per-commit deltas of the solver's lifetime
-// fingerprint-cache counters over the last cacheWindowCommits commits,
-// feeding engine.cache_hit_ratio_window. The lifetime ratio
-// (engine.cache_hit_ratio) is kept for continuity but converges so
-// slowly on long-lived engines that a behavior change — a policy
-// switch, a workload shift — barely moves it; the windowed companion
-// reacts within a window.
-type cacheWindow struct {
-	hits, misses [cacheWindowCommits]int64
-	pos, size    int
-	prevH, prevM int64
-	sumH, sumM   int64
-}
-
-const cacheWindowCommits = 64
-
-func (e *Engine) observeCacheWindow(hits, misses int64) {
-	w := &e.hitWin
-	dh, dm := hits-w.prevH, misses-w.prevM
-	w.prevH, w.prevM = hits, misses
-	if dh < 0 || dm < 0 {
-		// The lifetime counters reset (solver reinstalled on a policy
-		// switch): restart the window instead of folding a negative delta.
-		*w = cacheWindow{prevH: hits, prevM: misses}
-		e.gHitRatioWin.Set(0)
-		return
-	}
-	if w.size == cacheWindowCommits {
-		w.sumH -= w.hits[w.pos]
-		w.sumM -= w.misses[w.pos]
-	} else {
-		w.size++
-	}
-	w.hits[w.pos], w.misses[w.pos] = dh, dm
-	w.sumH += dh
-	w.sumM += dm
-	w.pos = (w.pos + 1) % cacheWindowCommits
-	if lookups := w.sumH + w.sumM; lookups > 0 {
-		e.gHitRatioWin.Set(float64(w.sumH) / float64(lookups))
-	}
-}

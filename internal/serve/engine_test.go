@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,8 +267,8 @@ func TestEngineConcurrentReadersWriters(t *testing.T) {
 // TestEngineIncrementalTelemetry checks that the incremental-solve
 // telemetry flows through the commit path into both the published
 // snapshot and the metrics gauges: a single-component mutation on a
-// multi-component job set reuses the untouched components, and a
-// round-tripped mutation hits the fingerprint cache.
+// multi-component job set reuses the untouched components, and so does
+// reverting it.
 func TestEngineIncrementalTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 8}})
@@ -308,56 +307,17 @@ func TestEngineIncrementalTelemetry(t *testing.T) {
 		t.Fatalf("components_resolved gauge = %g, want 1", got)
 	}
 
-	// Reverting the weight round-trips b's component fingerprint: a cache
-	// hit, no re-solve, and a positive hit ratio.
+	// Reverting the weight re-solves b's component alone.
 	if err := eng.UpdateWeight(context.Background(), "b", 1); err != nil {
 		t.Fatal(err)
 	}
 	snap = eng.Current()
-	if snap.ComponentsResolved != 0 || snap.ComponentsReused != 3 {
-		t.Fatalf("snapshot after reverted mutation: resolved %d reused %d, want 0/3",
+	if snap.ComponentsResolved != 1 || snap.ComponentsReused != 2 {
+		t.Fatalf("snapshot after reverted mutation: resolved %d reused %d, want 1/2",
 			snap.ComponentsResolved, snap.ComponentsReused)
 	}
-	m = reg.Snapshot()
-	if got := m.Gauges["engine.cache_hit_ratio"]; got <= 0 {
-		t.Fatalf("cache_hit_ratio gauge = %g, want > 0 after a fingerprint round-trip", got)
-	}
 	st := eng.Stats()
-	if st.CacheHits == 0 || st.LastReused != 3 {
+	if st.LastResolved != 1 || st.LastReused != 2 {
 		t.Fatalf("stats missing incremental accounting: %+v", st)
-	}
-}
-
-func TestCacheWindowGauge(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng, _ := newEngine(t, Config{Metrics: reg})
-	g := reg.Gauge("engine.cache_hit_ratio_window")
-
-	// Deltas fold into the window: 8 hits, 2 misses -> 0.8.
-	eng.observeCacheWindow(0, 0)
-	eng.observeCacheWindow(4, 1)
-	eng.observeCacheWindow(8, 2)
-	if got := g.Value(); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("windowed ratio = %v, want 0.8", got)
-	}
-	// A counter reset (solver reinstalled) restarts the window instead of
-	// folding a negative delta.
-	eng.observeCacheWindow(0, 0)
-	if got := g.Value(); got != 0 {
-		t.Fatalf("windowed ratio after reset = %v, want 0", got)
-	}
-	eng.observeCacheWindow(3, 1)
-	if got := g.Value(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("windowed ratio after restart = %v, want 0.75", got)
-	}
-	// Old commits age out of the 64-commit window: drown the early misses
-	// with hit-only commits, then check the ratio converges to 1.
-	h, m := int64(3), int64(1)
-	for i := 0; i < cacheWindowCommits; i++ {
-		h += 5
-		eng.observeCacheWindow(h, m)
-	}
-	if got := g.Value(); got != 1 {
-		t.Fatalf("windowed ratio after aging out misses = %v, want 1", got)
 	}
 }

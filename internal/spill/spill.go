@@ -216,7 +216,7 @@ func (c Config) feasible(in *core.Instance, targets []float64) (*Result, bool) {
 		b = append(b, -targets[j])
 	}
 
-	x, ok := lp.Feasible(nv, a, b, nil, nil)
+	x, ok := lp.Feasible(nv, a, b)
 	if !ok {
 		return nil, false
 	}

@@ -134,7 +134,7 @@ func GenerateChurn(cfg ChurnConfig) *Churn {
 		case p < 0.50: // reweight a base job
 			op.Kind = ChurnWeight
 			op.Job = in.JobName[c*sp.JobsPerComponent+rng.Intn(sp.JobsPerComponent)]
-			// Quantized weights so replayed streams revisit fingerprints.
+			// Quantized weights, so replayed streams revisit earlier weights.
 			op.Weight = 0.5 + 0.25*float64(rng.Intn(14))
 		case p < 0.70: // progress on a base job
 			op.Kind = ChurnProgress
